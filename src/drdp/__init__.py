@@ -12,10 +12,7 @@ from .billing import (
     ScenarioResult,
     SlotBillingResult,
     Tariff,
-    adjust_slot,
     baseline_flat_peak_bill,
-    bill_slot,
-    detect_peak,
     run_scenario,
 )
 from .coop import (
@@ -29,11 +26,9 @@ from .coop import (
 from .metering import (
     SLOTS_PER_DAY,
     LoadProfile,
-    MeterReading,
-    ProtectedReading,
     Scenario,
     load_csv,
-    report_slot,
+    report_readings,
     synthesize,
 )
 from .metrics import (
@@ -68,21 +63,16 @@ __all__ = [
     "adjust_reading",
     "spawn_streams",
     "derive_seed",
-    "MeterReading",
-    "ProtectedReading",
     "LoadProfile",
     "Scenario",
     "load_csv",
     "synthesize",
-    "report_slot",
+    "report_readings",
     "Tariff",
     "MeterSlotBill",
     "SlotBillingResult",
     "ScenarioResult",
     "OpCounter",
-    "adjust_slot",
-    "detect_peak",
-    "bill_slot",
     "run_scenario",
     "baseline_flat_peak_bill",
     "CoopModel",

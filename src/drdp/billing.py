@@ -5,17 +5,20 @@ The utility never sees true readings. It works from the protected reports:
 it subtracts fresh noise magnitudes, sums the region to decide whether a
 peak is in place, and bills each home against the fair per-home share of
 the peak threshold — homes at or above the share pay the peak price, homes
-below it keep the base price.
+below it keep the base price. Every stage is one whole-array operation on
+the ``(n_meters, n_slots)`` matrix.
 """
 from __future__ import annotations
 
+import functools
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metering import ProtectedReading, Scenario, report_slot
-from .noise import PrivacyParams, adjust_reading, spawn_streams
+from .metering import Scenario, report_readings
+from .noise import adjust_reading, spawn_streams
 
 __all__ = [
     "Tariff",
@@ -23,9 +26,6 @@ __all__ = [
     "SlotBillingResult",
     "ScenarioResult",
     "OpCounter",
-    "adjust_slot",
-    "detect_peak",
-    "bill_slot",
     "run_scenario",
     "baseline_flat_peak_bill",
 ]
@@ -41,12 +41,10 @@ class Tariff:
     peak_factor: float = 12000.0
 
     def __post_init__(self) -> None:
-        if self.unit_price <= 0:
-            raise ValueError(f"unit_price must be positive, got {self.unit_price}")
-        if self.peak_price <= 0:
-            raise ValueError(f"peak_price must be positive, got {self.peak_price}")
-        if self.peak_factor <= 0:
-            raise ValueError(f"peak_factor must be positive, got {self.peak_factor}")
+        for name in ("unit_price", "peak_price", "peak_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.peak_price <= self.unit_price:
             warnings.warn(
                 f"peak_price {self.peak_price} does not exceed unit_price "
@@ -83,21 +81,50 @@ class SlotBillingResult:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """All per-slot outcomes of a scenario, plus dense matrices for analysis.
+    """Dense outcome of a scenario: one ``(n_meters, n_slots)`` array per
+    stage, plus the per-slot peak flags.
 
-    Row order in every matrix matches ``scenario.meter_ids``.
+    Row order in every matrix matches ``scenario.meter_ids``. ``charged``
+    marks the meter-slots billed at the peak price.
     """
 
     scenario: Scenario
-    slots: tuple[SlotBillingResult, ...]
-    totals_cents: np.ndarray
-    bills_cents: np.ndarray
     protected: np.ndarray
     adjusted: np.ndarray
+    bills_cents: np.ndarray
+    totals_cents: np.ndarray
+    peak: np.ndarray
+    charged: np.ndarray
+
+    @property
+    def share(self) -> float:
+        """Fair per-home share of the peak threshold, in Wh."""
+        return self.scenario.tariff.peak_factor / self.scenario.n_meters
+
+    @functools.cached_property
+    def slots(self) -> tuple[SlotBillingResult, ...]:
+        """Per-slot, per-home view of the arrays, built on first access."""
+        share = self.share
+        regional_sums = _regional_sums(self.adjusted).tolist()
+        views = []
+        for slot, peak in enumerate(self.peak.tolist()):
+            bills = tuple(
+                MeterSlotBill(meter_id, b_r, charged, i_b, abs(b_r - share) if peak else None)
+                for meter_id, b_r, charged, i_b in zip(
+                    self.scenario.meter_ids,
+                    self.adjusted[:, slot].tolist(),
+                    self.charged[:, slot].tolist(),
+                    self.bills_cents[:, slot].tolist(),
+                )
+            )
+            views.append(
+                SlotBillingResult(slot, peak, regional_sums[slot], share if peak else None, bills)
+            )
+        return tuple(views)
 
     @property
     def peak_slot_count(self) -> int:
-        return sum(1 for s in self.slots if s.peak_in_place)
+        return int(self.peak.sum())
 
     @property
     def total_adjusted_wh(self) -> float:
@@ -118,74 +145,15 @@ class OpCounter:
         return self.protect + self.adjust + self.sum_terms + self.bill
 
 
-def adjust_slot(
-    protected: list[ProtectedReading],
-    grid_params: PrivacyParams,
-    rng: np.random.Generator,
-) -> list[tuple[int, float]]:
-    """Subtract a fresh noise magnitude from each protected report.
+def _regional_sums(basis: np.ndarray) -> np.ndarray:
+    """Per-slot sums over the meters of a meter-major matrix.
 
-    Returns ``(meter_id, b_r)`` pairs in report order; each b_r is the
-    billing basis for that home.
+    A running sum adds the meters one at a time, in row order, exactly like
+    a Python ``sum`` over one slot. ``np.sum`` does not promise that order:
+    along a contiguous axis (a single slot, or a slot-major array) it sums
+    pairwise, whose last bits differ and can flip the inclusive threshold.
     """
-    return [
-        (record.meter_id, adjust_reading(record.p_v, grid_params, rng))
-        for record in protected
-    ]
-
-
-def detect_peak(adjusted: list[float], tariff: Tariff) -> tuple[bool, float | None]:
-    """Decide the regional peak state for one slot.
-
-    A peak is in place when the summed billing bases reach the threshold
-    (inclusive). In that case the per-home fair share — threshold divided
-    by number of homes — is returned as the comparison average; otherwise
-    the average is None.
-    """
-    if len(adjusted) == 0:
-        raise ValueError("cannot detect a peak over zero meters")
-    total = float(sum(adjusted))
-    if total >= tariff.peak_factor:
-        return True, tariff.peak_factor / len(adjusted)
-    return False, None
-
-
-def bill_slot(
-    slot: int,
-    adjusted: list[tuple[int, float]],
-    peak_in_place: bool,
-    average: float | None,
-    tariff: Tariff,
-) -> SlotBillingResult:
-    """Price one slot for every home.
-
-    Off-peak, everyone pays ``b_r * unit_price``. During a peak, homes at or
-    above the fair share pay ``b_r * peak_price`` and the rest stay at the
-    base price, so staying below the share is always the cheaper outcome.
-    """
-    if peak_in_place != (average is not None):
-        raise ValueError("average must be present exactly when a peak is in place")
-    bills = []
-    regional_sum = 0.0
-    for meter_id, b_r in adjusted:
-        regional_sum += b_r
-        if not peak_in_place:
-            bills.append(MeterSlotBill(meter_id, b_r, False, b_r * tariff.unit_price, None))
-        elif b_r >= average:
-            bills.append(
-                MeterSlotBill(meter_id, b_r, True, b_r * tariff.peak_price, b_r - average)
-            )
-        else:
-            bills.append(
-                MeterSlotBill(meter_id, b_r, False, b_r * tariff.unit_price, average - b_r)
-            )
-    return SlotBillingResult(
-        slot=slot,
-        peak_in_place=peak_in_place,
-        regional_sum=regional_sum,
-        average=average,
-        bills=tuple(bills),
-    )
+    return np.cumsum(basis, axis=0)[-1]
 
 
 def run_scenario(
@@ -194,47 +162,39 @@ def run_scenario(
     noisy: bool = True,
     counter: OpCounter | None = None,
 ) -> ScenarioResult:
-    """Run the full report-adjust-detect-bill pipeline over every slot.
+    """Run the report-adjust-detect-bill pipeline over the whole matrix.
 
     With ``noisy=False`` both perturbation stages are skipped and billing
     operates on the true readings; everything else is unchanged. Pass an
     ``OpCounter`` to tally per-meter sub-operations.
     """
-    _, grid_rng, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
-    n_meters, n_slots = scenario.n_meters, scenario.n_slots
-    protected = np.empty((n_meters, n_slots))
-    adjusted = np.empty((n_meters, n_slots))
-    bills_cents = np.empty((n_meters, n_slots))
-    slot_results = []
-    for slot in range(n_slots):
-        if noisy:
-            reports = report_slot(scenario, slot, meter_rngs)
-            pairs = adjust_slot(reports, scenario.grid_params, grid_rng)
-        else:
-            reports = [
-                ProtectedReading(meter_id, slot, float(scenario.readings[index, slot]))
-                for index, meter_id in enumerate(scenario.meter_ids)
-            ]
-            pairs = [(record.meter_id, record.p_v) for record in reports]
-        peak_in_place, average = detect_peak([b_r for _, b_r in pairs], scenario.tariff)
-        result = bill_slot(slot, pairs, peak_in_place, average, scenario.tariff)
-        if counter is not None:
-            counter.protect += n_meters
-            counter.adjust += n_meters
-            counter.sum_terms += n_meters
-            counter.bill += n_meters
-        slot_results.append(result)
-        for index, bill in enumerate(result.bills):
-            protected[index, slot] = reports[index].p_v
-            adjusted[index, slot] = bill.b_r
-            bills_cents[index, slot] = bill.i_b
+    tariff = scenario.tariff
+    if noisy:
+        _, grid_rng, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
+        protected = report_readings(scenario, meter_rngs)
+        # The grid stream is drawn slot by slot, meters within a slot; C
+        # order fixes the summation order of the per-meter totals.
+        adjusted = np.ascontiguousarray(
+            adjust_reading(protected.T, scenario.grid_params, grid_rng).T
+        )
+    else:
+        protected = adjusted = scenario.readings
+    peak = _regional_sums(adjusted) >= tariff.peak_factor
+    charged = peak & (adjusted >= tariff.peak_factor / scenario.n_meters)
+    bills_cents = adjusted * np.where(charged, tariff.peak_price, tariff.unit_price)
+    if counter is not None:
+        counter.protect += adjusted.size
+        counter.adjust += adjusted.size
+        counter.sum_terms += adjusted.size
+        counter.bill += adjusted.size
     return ScenarioResult(
         scenario=scenario,
-        slots=tuple(slot_results),
-        totals_cents=bills_cents.sum(axis=1),
-        bills_cents=bills_cents,
         protected=protected,
         adjusted=adjusted,
+        bills_cents=bills_cents,
+        totals_cents=bills_cents.sum(axis=1),
+        peak=peak,
+        charged=charged,
     )
 
 
@@ -247,15 +207,11 @@ def baseline_flat_peak_bill(readings: np.ndarray, tariff: Tariff) -> np.ndarray:
     same peak rule and accumulation as the main pipeline so the comparison
     isolates the billing policy.
     """
-    readings = np.asarray(readings, dtype=float)
-    if readings.ndim != 2:
-        raise ValueError(f"expected a meter-by-slot matrix, got shape {readings.shape}")
-    n_meters, n_slots = readings.shape
-    bills_cents = np.empty_like(readings)
-    for slot in range(n_slots):
-        column = [float(v) for v in readings[:, slot]]
-        peak_in_place, _ = detect_peak(column, tariff)
-        price = tariff.peak_price if peak_in_place else tariff.unit_price
-        for index, b_r in enumerate(column):
-            bills_cents[index, slot] = b_r * price
-    return bills_cents.sum(axis=1)
+    readings = np.ascontiguousarray(readings, dtype=float)
+    if readings.ndim != 2 or readings.shape[0] == 0:
+        raise ValueError(
+            f"expected a meter-by-slot matrix with at least one meter, got shape {readings.shape}"
+        )
+    peak = _regional_sums(readings) >= tariff.peak_factor
+    price = np.where(peak, tariff.peak_price, tariff.unit_price)
+    return (readings * price).sum(axis=1)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,8 +186,10 @@ def _validate(config: RunConfig, explicitly_set: set) -> None:
     for name in ("epsilon1", "epsilon2", "delta_f1", "delta_f2",
                  "peak_factor", "unit_price", "peak_price"):
         value = getattr(config, name)
-        if value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(config.mu):
+        raise ConfigError(f"mu must be finite, got {config.mu}")
     if config.n_meters < 1:
         raise ConfigError(f"n_meters must be at least 1, got {config.n_meters}")
     if config.n_days < 1:
@@ -234,7 +237,8 @@ def _write_rows(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _series_files(out_dir: Path, name: str, series: MetricSeries, x_header: str, y_header: str) -> None:
@@ -254,24 +258,26 @@ def _series_files(out_dir: Path, name: str, series: MetricSeries, x_header: str,
     )
 
 
+def _report_rows(result):
+    """``report.csv`` rows, slot-major, formatted straight from the arrays."""
+    share = result.share
+    meter_ids = result.scenario.meter_ids
+    for slot, peak in enumerate(result.peak.tolist()):
+        columns = zip(
+            meter_ids,
+            result.adjusted[:, slot].tolist(),
+            result.charged[:, slot].tolist(),
+            result.bills_cents[:, slot].tolist(),
+        )
+        for meter_id, b_r, charged, bill in columns:
+            deviation = f"{abs(b_r - share):.6f}" if peak else ""
+            yield (slot, meter_id, f"{b_r:.6f}", int(peak), int(charged), f"{bill:.2f}", deviation)
+
+
 def _mode_run(config: RunConfig, out_dir: Path) -> None:
     scenario = _build_scenario(config)
     result = run_scenario(scenario)
-    rows = []
-    for slot_result in result.slots:
-        for bill in slot_result.bills:
-            rows.append(
-                (
-                    slot_result.slot,
-                    bill.meter_id,
-                    f"{bill.b_r:.6f}",
-                    int(slot_result.peak_in_place),
-                    int(bill.charged_peak),
-                    f"{bill.i_b:.2f}",
-                    "" if bill.d_f is None else f"{bill.d_f:.6f}",
-                )
-            )
-    _write_rows(out_dir / "report.csv", REPORT_HEADER, rows)
+    _write_rows(out_dir / "report.csv", REPORT_HEADER, _report_rows(result))
     _write_json(
         out_dir / "summary.json",
         {

@@ -89,19 +89,40 @@ class CoopObservation:
     cooperative: bool
 
 
+def _binomial_pmf(model: CoopModel) -> np.ndarray:
+    """``pmf[q]``: probability that exactly ``q`` of the homes cooperate.
+
+    The terms are built in log space, so ``C(n, q)`` never overflows.
+    """
+    p = model.shared_p
+    n = model.n
+    if p in (0.0, 1.0):
+        pmf = np.zeros(n + 1)
+        pmf[round(p * n)] = 1.0
+        return pmf
+    # log pmf(k+1) - log pmf(k) = log(n-k) - log(k+1) + log(p / (1-p)).
+    # Running sums of these steps, anchored at the mode, give every log
+    # term up to one constant; normalising by the total (log-sum-exp with
+    # the mode as shift) removes it. Near the mode, where the mass is, the
+    # running sums stay small and keep full precision.
+    k = np.arange(n)
+    step = np.log(n - k) - np.log1p(k) + (math.log(p) - math.log1p(-p))
+    mode = min(int((n + 1) * p), n)
+    log_terms = np.zeros(n + 1)
+    log_terms[mode + 1 :] = np.cumsum(step[mode:])
+    log_terms[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    terms = np.exp(log_terms)
+    return terms / terms.sum()
+
+
 def coop_probability(model: CoopModel) -> float:
     """Probability that at least the majority threshold of homes cooperate.
 
     Binomial tail sum; requires a shared per-home probability.
     """
-    p = model.shared_p
-    n = model.n
-    return float(
-        sum(
-            math.comb(n, q) * p**q * (1.0 - p) ** (n - q)
-            for q in range(model.threshold, n + 1)
-        )
-    )
+    tail = _binomial_pmf(model)[model.threshold :]
+    # the normalised sum may round one ulp above 1
+    return min(float(tail.sum()), 1.0)
 
 
 def coop_expectation(model: CoopModel) -> float:
@@ -110,14 +131,8 @@ def coop_expectation(model: CoopModel) -> float:
     This is the binomial expectation truncated at the majority threshold,
     not ``n * p``; outcomes with fewer cooperating homes contribute zero.
     """
-    p = model.shared_p
-    n = model.n
-    return float(
-        sum(
-            q * math.comb(n, q) * p**q * (1.0 - p) ** (n - q)
-            for q in range(model.threshold, n + 1)
-        )
-    )
+    tail = _binomial_pmf(model)[model.threshold :]
+    return float((np.arange(model.threshold, model.n + 1) * tail).sum())
 
 
 def enumerate_oracle(model: CoopModel, threshold: int | None = None) -> tuple[float, float]:

@@ -1,5 +1,5 @@
 """Smart-meter side: reading ingestion, synthetic load generation, and
-per-slot protected reporting.
+protected reporting of the whole meter-by-slot matrix.
 
 A scenario bundles the true consumption matrix with tariff and perturbation
 parameters; meters never see each other's data and only ever emit protected
@@ -22,41 +22,15 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SLOTS_PER_DAY",
-    "MeterReading",
-    "ProtectedReading",
     "LoadProfile",
     "Scenario",
     "load_csv",
     "synthesize",
-    "report_slot",
+    "report_readings",
 ]
 
 # 10-minute metering cadence.
 SLOTS_PER_DAY = 144
-
-
-@dataclass(frozen=True)
-class MeterReading:
-    """True consumption of one meter in one slot, in Wh."""
-
-    meter_id: int
-    slot: int
-    i_v: float
-
-    def __post_init__(self) -> None:
-        if self.i_v < 0:
-            raise ValueError(
-                f"meter {self.meter_id}, slot {self.slot}: negative reading {self.i_v}"
-            )
-
-
-@dataclass(frozen=True)
-class ProtectedReading:
-    """What a meter actually reports: the reading plus a noise magnitude."""
-
-    meter_id: int
-    slot: int
-    p_v: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +84,7 @@ class Scenario:
             raise ValueError(f"n_meters must be at least 1, got {self.n_meters}")
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be at least 1, got {self.n_slots}")
-        readings = np.asarray(self.readings, dtype=float)
+        readings = np.ascontiguousarray(self.readings, dtype=float)
         if readings.shape != (self.n_meters, self.n_slots):
             raise ValueError(
                 f"readings shape {readings.shape} does not match "
@@ -233,26 +207,23 @@ def synthesize(
     return np.clip(readings, 0.0, None)
 
 
-def report_slot(
+def report_readings(
     scenario: Scenario,
-    slot: int,
     meter_rngs: list[np.random.Generator],
-) -> list[ProtectedReading]:
-    """Have every meter report its protected value for one slot.
+) -> np.ndarray:
+    """Have every meter report protected values for all of its slots.
 
-    Each meter perturbs its own reading with its own stream; nothing is
-    shared between meters.
+    Each meter perturbs its own row with its own stream, slot by slot;
+    nothing is shared between meters. Returns a ``(n_meters, n_slots)``
+    array in ``scenario.meter_ids`` order.
     """
-    if not 0 <= slot < scenario.n_slots:
-        raise ValueError(f"slot {slot} outside 0..{scenario.n_slots - 1}")
     if len(meter_rngs) != scenario.n_meters:
         raise ValueError(
             f"{len(meter_rngs)} meter streams for {scenario.n_meters} meters"
         )
-    reports = []
-    for index, meter_id in enumerate(scenario.meter_ids):
-        p_v = protect_reading(
-            float(scenario.readings[index, slot]), scenario.meter_params, meter_rngs[index]
-        )
-        reports.append(ProtectedReading(meter_id=meter_id, slot=slot, p_v=p_v))
-    return reports
+    return np.array(
+        [
+            protect_reading(row, scenario.meter_params, rng)
+            for row, rng in zip(scenario.readings, meter_rngs)
+        ]
+    )

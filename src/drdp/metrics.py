@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .billing import run_scenario
-from .metering import Scenario, report_slot
+from .metering import Scenario, report_readings
 from .noise import derive_seed, spawn_streams
 
 __all__ = [
@@ -88,11 +88,7 @@ def mae_sweep(scenario: Scenario, epsilons=DEFAULT_EPSILON_SWEEP) -> MetricSerie
     for run_key, epsilon in enumerate(values):
         run = _with_epsilon(scenario, epsilon, run_key)
         _, _, meter_rngs = spawn_streams(run.seed, run.n_meters)
-        reported = np.empty_like(run.readings)
-        for slot in range(run.n_slots):
-            reports = report_slot(run, slot, meter_rngs)
-            reported[:, slot] = [record.p_v for record in reports]
-        points.append((epsilon, mae(reported, run.readings)))
+        points.append((epsilon, mae(report_readings(run, meter_rngs), run.readings)))
     return MetricSeries("mae_vs_epsilon", tuple(points), x_unit="epsilon", y_unit="Wh")
 
 

@@ -7,6 +7,7 @@ master seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +28,13 @@ def compute_scale(delta_f: float, epsilon: float) -> float:
     """Noise scale for a given per-reading sensitivity and privacy budget.
 
     Smaller budgets mean wider noise; the scale is ``delta_f / epsilon``.
+    Both must be positive and finite: an infinite budget would mean no
+    noise at all.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if delta_f <= 0:
-        raise ValueError(f"delta_f must be positive, got {delta_f}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not (math.isfinite(delta_f) and delta_f > 0):
+        raise ValueError(f"delta_f must be positive and finite, got {delta_f}")
     return delta_f / epsilon
 
 
@@ -50,6 +53,8 @@ class PrivacyParams:
     scale: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         object.__setattr__(self, "scale", compute_scale(self.delta_f, self.epsilon))
 
 
@@ -72,23 +77,26 @@ def sample_laplace(mu: float, scale: float, rng: np.random.Generator) -> NoiseSa
     return NoiseSample.from_raw(float(rng.laplace(mu, scale)))
 
 
-def protect_reading(i_v: float, params: PrivacyParams, rng: np.random.Generator) -> float:
+def protect_reading(i_v, params: PrivacyParams, rng: np.random.Generator):
     """Meter side: add the magnitude of a fresh Laplace draw to a reading.
 
-    The reported value can therefore never be below the true reading.
+    Takes one reading or an array of them; an array consumes one draw per
+    element in order, exactly as repeated scalar calls would. The reported
+    value can therefore never be below the true reading.
     """
-    if i_v < 0:
-        raise ValueError(f"reading must be non-negative, got {i_v}")
-    return i_v + sample_laplace(params.mu, params.scale, rng).magnitude
+    if np.any(np.less(i_v, 0)):
+        raise ValueError(f"reading must be non-negative, got {np.min(i_v)}")
+    return i_v + np.abs(rng.laplace(params.mu, params.scale, np.shape(i_v)))
 
 
-def adjust_reading(p_v: float, params: PrivacyParams, rng: np.random.Generator) -> float:
+def adjust_reading(p_v, params: PrivacyParams, rng: np.random.Generator):
     """Grid side: subtract a fresh, independent noise magnitude.
 
-    The result feeds billing, so it is clamped at zero rather than allowed
-    to go negative when the subtracted magnitude overshoots.
+    Takes one report or an array of them, like ``protect_reading``. The
+    result feeds billing, so it is clamped at zero rather than allowed to
+    go negative when the subtracted magnitude overshoots.
     """
-    return max(p_v - sample_laplace(params.mu, params.scale, rng).magnitude, 0.0)
+    return np.maximum(p_v - np.abs(rng.laplace(params.mu, params.scale, np.shape(p_v))), 0.0)
 
 
 def spawn_streams(

@@ -1,7 +1,15 @@
 """Shared scenario builders for the test suite."""
 import numpy as np
 
-from drdp import LoadProfile, PrivacyParams, Scenario, Tariff, spawn_streams, synthesize
+from drdp import (
+    LoadProfile,
+    PrivacyParams,
+    Scenario,
+    Tariff,
+    sample_laplace,
+    spawn_streams,
+    synthesize,
+)
 
 
 def synth_scenario(
@@ -54,3 +62,34 @@ def matrix_scenario(
         grid_params=PrivacyParams(epsilon, 0.0, delta_f),
         seed=seed,
     )
+
+
+def reference_run(scenario, *, noisy=True):
+    """The report-adjust-detect-bill rules, one scalar draw at a time.
+
+    Draw order is that of a per-slot pipeline: each meter's stream slot by
+    slot, and the grid stream slot-major, meter-minor. Each slot is summed
+    with Python ``sum``. Returns ``(protected, adjusted, bills_cents,
+    totals_cents)`` for comparison with ``run_scenario``.
+    """
+    _, grid_rng, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
+    meter, grid, tariff = scenario.meter_params, scenario.grid_params, scenario.tariff
+    n_meters, n_slots = scenario.n_meters, scenario.n_slots
+    share = tariff.peak_factor / n_meters
+    protected = np.empty((n_meters, n_slots))
+    adjusted = np.empty((n_meters, n_slots))
+    bills = np.empty((n_meters, n_slots))
+    for m in range(n_meters):
+        for s in range(n_slots):
+            noise = sample_laplace(meter.mu, meter.scale, meter_rngs[m]).magnitude if noisy else 0.0
+            protected[m, s] = float(scenario.readings[m, s]) + noise
+    for s in range(n_slots):
+        column = []
+        for m in range(n_meters):
+            noise = sample_laplace(grid.mu, grid.scale, grid_rng).magnitude if noisy else 0.0
+            column.append(max(float(protected[m, s]) - noise, 0.0))
+        peak = sum(column) >= tariff.peak_factor
+        for m, b_r in enumerate(column):
+            adjusted[m, s] = b_r
+            bills[m, s] = b_r * (tariff.peak_price if peak and b_r >= share else tariff.unit_price)
+    return protected, adjusted, bills, bills.sum(axis=1)

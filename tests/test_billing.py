@@ -1,25 +1,33 @@
 """Utility side: adjustment, peak detection, dynamic billing, baselines."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drdp import (
     OpCounter,
     PrivacyParams,
-    ProtectedReading,
+    Scenario,
     Tariff,
-    adjust_slot,
+    adjust_reading,
     baseline_flat_peak_bill,
-    bill_slot,
-    detect_peak,
     run_scenario,
 )
-from helpers import matrix_scenario, synth_scenario
+from helpers import matrix_scenario, reference_run, synth_scenario
 
 # Hand-checked 2-meter, 2-slot case: the second slot stays under the
 # threshold, the first crosses it with one home above the fair share.
 GOLDEN_READINGS = [[1500.0, 400.0], [900.0, 500.0]]
 GOLDEN_TARIFF = dict(unit_price=10.0, peak_price=25.0, peak_factor=2000.0)
 GOLDEN_TOTALS = [41500.0, 14000.0]
+
+
+def bill_one_slot(b_r_values, **tariff):
+    """Bill a single slot of the given billing bases, without noise."""
+    readings = [[value] for value in b_r_values]
+    return run_scenario(matrix_scenario(readings, **tariff), noisy=False)
 
 
 class TestTariff:
@@ -41,6 +49,19 @@ class TestTariff:
         with pytest.raises(ValueError):
             Tariff(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(unit_price=float("nan")),
+            dict(peak_price=float("inf")),
+            dict(peak_factor=float("inf")),
+            dict(peak_factor=float("nan")),
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            Tariff(**kwargs)
+
     def test_warns_when_peak_not_a_surcharge(self):
         with pytest.warns(UserWarning, match="surcharge"):
             Tariff(unit_price=20.0, peak_price=15.0)
@@ -48,68 +69,85 @@ class TestTariff:
 
 class TestDetectPeak:
     def test_threshold_is_inclusive(self):
-        tariff = Tariff(peak_factor=100.0)
-        peak, average = detect_peak([60.0, 40.0], tariff)
-        assert peak is True
-        assert average == 50.0
+        result = bill_one_slot([60.0, 40.0], peak_factor=100.0)
+        assert result.peak.tolist() == [True]
+        assert result.slots[0].average == 50.0
 
     def test_below_threshold(self):
-        tariff = Tariff(peak_factor=100.0)
-        peak, average = detect_peak([60.0, 39.9], tariff)
-        assert peak is False
-        assert average is None
+        result = bill_one_slot([60.0, 39.9], peak_factor=100.0)
+        assert result.peak.tolist() == [False]
+        assert result.slots[0].average is None
+        assert not result.charged.any()
 
     def test_average_is_threshold_share_not_consumption_mean(self):
-        tariff = Tariff(peak_factor=12000.0)
-        peak, average = detect_peak([6000.0, 6001.0], tariff)
-        assert peak is True
-        assert average == 6000.0  # not 6000.5
+        result = bill_one_slot([6000.0, 6001.0], peak_factor=12000.0)
+        assert result.peak.tolist() == [True]
+        assert result.share == 6000.0  # not 6000.5
+        assert result.slots[0].average == 6000.0
 
     def test_rejects_empty_region(self):
-        with pytest.raises(ValueError):
-            detect_peak([], Tariff())
+        with pytest.raises(ValueError, match="at least 1"):
+            Scenario(
+                n_meters=0,
+                n_slots=1,
+                readings=np.empty((0, 1)),
+                tariff=Tariff(),
+                meter_params=PrivacyParams(1.0),
+                grid_params=PrivacyParams(1.0),
+                seed=0,
+            )
+        with pytest.raises(ValueError, match="at least one meter"):
+            baseline_flat_peak_bill(np.empty((0, 3)), Tariff())
+
+    def test_regional_sum_adds_meters_in_order(self):
+        # The peak test matches a running Python sum bit for bit, also for
+        # a single slot, where np.sum would add the meters pairwise.
+        values = np.random.default_rng(0).uniform(0.0, 2000.0, size=(1000, 7))
+        for matrix in (values, values[:, :1]):
+            python_sums = [sum(column) for column in matrix.T.tolist()]
+            result = run_scenario(matrix_scenario(matrix), noisy=False)
+            assert [s.regional_sum for s in result.slots] == python_sums
+            at_threshold = matrix_scenario(matrix, peak_factor=python_sums[0])
+            assert run_scenario(at_threshold, noisy=False).peak[0]
 
 
 class TestBillSlot:
     def test_off_peak_uses_unit_price(self):
-        result = bill_slot(3, [(0, 10.0), (1, 20.0)], False, None, Tariff())
-        assert [b.i_b for b in result.bills] == [100.0, 200.0]
-        assert all(not b.charged_peak for b in result.bills)
-        assert all(b.d_f is None for b in result.bills)
-        assert result.average is None
+        result = bill_one_slot([10.0, 20.0])
+        np.testing.assert_array_equal(result.bills_cents, [[100.0], [200.0]])
+        assert not result.charged.any()
+        (slot,) = result.slots
+        assert all(b.d_f is None for b in slot.bills)
+        assert slot.average is None
 
     def test_peak_splits_on_fair_share(self):
-        tariff = Tariff(peak_factor=100.0)
-        result = bill_slot(0, [(0, 70.0), (1, 30.0)], True, 50.0, tariff)
-        over, under = result.bills
+        result = bill_one_slot([70.0, 30.0], peak_factor=100.0)
+        assert result.charged.tolist() == [[True], [False]]
+        np.testing.assert_array_equal(result.bills_cents, [[70.0 * 25.0], [30.0 * 10.0]])
+        over, under = result.slots[0].bills
         assert over.charged_peak and over.i_b == 70.0 * 25.0 and over.d_f == 20.0
         assert not under.charged_peak and under.i_b == 30.0 * 10.0 and under.d_f == 20.0
 
     def test_home_exactly_at_share_pays_peak_price(self):
-        result = bill_slot(0, [(0, 50.0), (1, 50.0)], True, 50.0, Tariff(peak_factor=100.0))
-        assert all(b.charged_peak for b in result.bills)
-        assert all(b.d_f == 0.0 for b in result.bills)
-
-    def test_peak_flag_and_average_must_agree(self):
-        with pytest.raises(ValueError):
-            bill_slot(0, [(0, 1.0)], True, None, Tariff())
-        with pytest.raises(ValueError):
-            bill_slot(0, [(0, 1.0)], False, 5.0, Tariff())
+        result = bill_one_slot([50.0, 50.0], peak_factor=100.0)
+        assert result.charged.all()
+        assert all(b.d_f == 0.0 for b in result.slots[0].bills)
 
     def test_regional_sum_matches_inputs(self):
-        result = bill_slot(0, [(0, 1.5), (1, 2.5)], False, None, Tariff())
-        assert result.regional_sum == 4.0
+        assert bill_one_slot([1.5, 2.5]).slots[0].regional_sum == 4.0
 
 
 def test_adjust_slot_preserves_order_and_floors_at_zero():
     params = PrivacyParams(epsilon=0.05)  # scale 20, overshoot likely
+    protected = np.tile([1.0, 2.0], (2000, 1))
+    adjusted = adjust_reading(protected, params, np.random.default_rng(1))
+    assert adjusted.shape == protected.shape
+    assert np.all(adjusted >= 0.0)
+    assert adjusted.min() == 0.0
+    # element k of the array gets the k-th draw of the stream
     rng = np.random.default_rng(1)
-    protected = [ProtectedReading(5, 0, 1.0), ProtectedReading(9, 0, 2.0)]
-    pairs = [adjust_slot(protected, params, rng) for _ in range(2000)]
-    flat = [value for run in pairs for _, value in run]
-    assert all(value >= 0.0 for value in flat)
-    assert min(flat) == 0.0
-    assert [meter for meter, _ in pairs[0]] == [5, 9]
+    one_by_one = [adjust_reading(float(p_v), params, rng) for p_v in protected.ravel()]
+    assert adjusted.ravel().tolist() == one_by_one
 
 
 class TestGoldenScenario:
@@ -132,10 +170,13 @@ class TestGoldenScenario:
         assert result.peak_slot_count == 1
 
     def test_step_by_step_matches_pipeline(self):
-        tariff = Tariff(**GOLDEN_TARIFF)
-        peak, average = detect_peak([1500.0, 900.0], tariff)
-        result = bill_slot(0, [(0, 1500.0), (1, 900.0)], peak, average, tariff)
-        assert [b.i_b for b in result.bills] == [37500.0, 9000.0]
+        # slot 0: 1500 + 900 = 2400 >= 2000, share 1000, only the first
+        # home is at or above it; slot 1: 900 < 2000, no peak
+        result = run_scenario(matrix_scenario(GOLDEN_READINGS, **GOLDEN_TARIFF), noisy=False)
+        assert result.peak.tolist() == [True, False]
+        assert result.charged.tolist() == [[True, False], [False, False]]
+        assert result.bills_cents[:, 0].tolist() == [37500.0, 9000.0]
+        assert [s.regional_sum for s in result.slots] == [2400.0, 900.0]
 
 
 class TestRunScenario:
@@ -216,3 +257,84 @@ class TestFlatPeakBaseline:
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
             baseline_flat_peak_bill(np.ones(4), Tariff())
+
+    def test_threshold_is_inclusive_like_the_dynamic_run(self):
+        tariff = Tariff(peak_factor=100.0)
+        flat = baseline_flat_peak_bill([[60.0, 60.0], [40.0, 39.9]], tariff)
+        np.testing.assert_array_equal(flat, [60.0 * 25.0 + 60.0 * 10.0, 40.0 * 25.0 + 39.9 * 10.0])
+
+
+SHARES = (100.0, 250.0, 1000.0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Small scenarios whose readings often sit exactly at the fair share,
+    so noise-free slot sums often sit exactly at the threshold."""
+    # Past 8 meters or slots numpy's pairwise summation differs from a
+    # running sum, so the summation order is exercised too.
+    n_meters = draw(st.integers(1, 12))
+    n_slots = draw(st.integers(1, 12))
+    share = draw(st.sampled_from(SHARES))
+    cell = st.one_of(
+        st.just(share),
+        st.integers(0, 3 * int(share)).map(float),
+        st.floats(0.0, 3.0 * share, allow_nan=False, allow_infinity=False),
+    )
+    readings = draw(st.lists(cell, min_size=n_meters * n_slots, max_size=n_meters * n_slots))
+    scenario = matrix_scenario(
+        np.reshape(readings, (n_meters, n_slots)),
+        epsilon=draw(st.sampled_from((0.01, 0.5, 2.0))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        peak_factor=share * n_meters,
+    )
+    noisy = draw(st.booleans())
+    if noisy and draw(st.booleans()):
+        # Move the threshold onto slot 0's noisy regional sum, exactly.
+        _, adjusted, _, _ = reference_run(scenario)
+        total = sum(adjusted[:, 0].tolist())
+        if total > 0:
+            tariff = dataclasses.replace(scenario.tariff, peak_factor=total)
+            scenario = dataclasses.replace(scenario, tariff=tariff)
+    return scenario, noisy
+
+
+class TestKernelMatchesReference:
+    """``run_scenario`` equals a scalar reference loop bit for bit and keeps
+    the billing invariants."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    @example((matrix_scenario(np.full((4, 2), 250.0), peak_factor=1000.0), False))
+    @example((matrix_scenario([[250.0], [249.0], [251.0]], peak_factor=750.0), False))
+    def test_kernel_equals_scalar_reference(self, case):
+        scenario, noisy = case
+        result = run_scenario(scenario, noisy=noisy)
+        expected = reference_run(scenario, noisy=noisy)
+        actual = (result.protected, result.adjusted, result.bills_cents, result.totals_cents)
+        for got, want in zip(actual, expected):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_billing_invariants(self, case):
+        scenario, noisy = case
+        result = run_scenario(scenario, noisy=noisy)
+        assert np.all(result.protected >= scenario.readings)  # reported >= true
+        assert np.all(result.adjusted >= 0.0)  # b_r >= 0
+        below_share = result.adjusted < result.share
+        assert not np.any(result.charged & below_share)
+        assert not np.any(result.charged & ~result.peak)
+        np.testing.assert_array_equal(result.totals_cents, result.bills_cents.sum(axis=1))
+
+    def test_noisy_slot_exactly_at_threshold_is_a_peak(self):
+        scenario = synth_scenario(n_meters=7, n_days=1, seed=12)
+        _, adjusted, _, _ = reference_run(scenario)
+        total = sum(adjusted[:, 5].tolist())
+        at_threshold = dataclasses.replace(
+            scenario, tariff=dataclasses.replace(scenario.tariff, peak_factor=total)
+        )
+        result = run_scenario(at_threshold)
+        assert result.peak[5]
+        assert result.adjusted[:, 5].tobytes() == adjusted[:, 5].tobytes()

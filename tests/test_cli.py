@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from drdp.cli import ConfigError, MODES, RunConfig, main, parse_config
+from drdp.cli import ConfigError, MODES, RunConfig, _write_json, main, parse_config
 
 
 def read_csv(path):
@@ -168,6 +168,37 @@ class TestRunMode:
     def test_invalid_budget_exits_1(self, capsys):
         assert main(["--epsilon1", "-2"]) == 1
         assert "epsilon1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--epsilon1", "nan"],
+            ["--epsilon1", "inf"],
+            ["--epsilon2", "inf"],
+            ["--delta-f1", "inf"],
+            ["--delta-f2", "nan"],
+            ["--mu", "nan"],
+            ["--mu=-inf"],
+            ["--peak-factor", "inf"],
+            ["--unit-price", "nan"],
+            ["--peak-price", "inf"],
+        ],
+    )
+    def test_non_finite_setting_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--meters", "2", "--synth-days", "1", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_file_value_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon1=nan\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "epsilon1" in capsys.readouterr().err
+
+    def test_json_output_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"total": float("nan")})
 
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -2,6 +2,7 @@
 import math
 
 import pytest
+from scipy import stats
 
 from drdp import (
     CoopModel,
@@ -13,6 +14,7 @@ from drdp import (
     measure_coop_state,
     run_scenario,
 )
+from drdp.cli import main
 from helpers import matrix_scenario
 
 
@@ -113,6 +115,30 @@ class TestClosedForms:
         expectations = [coop_expectation(CoopModel(12, p / 10)) for p in range(1, 10)]
         assert all(b > a for a, b in zip(probabilities, probabilities[1:]))
         assert all(b > a for a, b in zip(expectations, expectations[1:]))
+
+
+class TestLargeRegions:
+    """The closed forms hold far past where ``math.comb`` overflows a float."""
+
+    @pytest.mark.parametrize("n", [2000, 100_000, 1_000_000])
+    @pytest.mark.parametrize("p", [0.1, 0.45, 0.4999, 0.5, 0.7, 0.9])
+    def test_matches_scipy_binomial_tail(self, n, p):
+        model = CoopModel(n, p)
+        q_min = model.threshold
+        probability = stats.binom.sf(q_min - 1, n, p)
+        # q C(n, q) = n C(n-1, q-1), so the truncated expectation is a
+        # scaled tail of Bin(n-1, p)
+        expectation = n * p * stats.binom.sf(q_min - 2, n - 1, p)
+        got = coop_probability(model)
+        assert got == pytest.approx(probability, rel=1e-10, abs=1e-300)
+        assert 0.0 <= got <= 1.0
+        assert coop_expectation(model) == pytest.approx(expectation, rel=1e-10, abs=1e-300)
+
+    def test_coop_table_mode_at_two_thousand_homes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--mode", "coop-table", "--meters", "2000", "--out", str(out)]) == 0
+        rows = (out / "coop_table.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 10
 
 
 class TestEnumerationOracle:

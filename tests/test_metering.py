@@ -5,11 +5,11 @@ import pytest
 from drdp import (
     SLOTS_PER_DAY,
     LoadProfile,
-    MeterReading,
     PrivacyParams,
     Scenario,
     load_csv,
-    report_slot,
+    protect_reading,
+    report_readings,
     spawn_streams,
     synthesize,
 )
@@ -26,9 +26,10 @@ def test_slot_grid_is_ten_minutes():
 
 
 def test_meter_reading_rejects_negative():
-    with pytest.raises(ValueError):
-        MeterReading(meter_id=1, slot=0, i_v=-0.1)
-    assert MeterReading(meter_id=1, slot=0, i_v=0.0).i_v == 0.0
+    params, rng = PrivacyParams(1.0), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="non-negative"):
+        protect_reading(np.array([3.0, -0.1, 2.0]), params, rng)
+    assert protect_reading(np.zeros(3), params, rng).min() >= 0.0
 
 
 class TestLoadCsv:
@@ -205,28 +206,29 @@ class TestScenario:
 
 
 class TestReportSlot:
+    """Meter-side reporting of every slot: ``report_readings``."""
+
     def test_reports_cover_all_meters_in_order(self):
         scenario = matrix_scenario([[5.0, 6.0], [7.0, 8.0]])
         _, _, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
-        reports = report_slot(scenario, 1, meter_rngs)
-        assert [r.meter_id for r in reports] == [0, 1]
-        assert all(r.slot == 1 for r in reports)
+        reports = report_readings(scenario, meter_rngs)
+        assert reports.shape == (2, 2)
+        # row i is meter i's readings perturbed by meter i's own stream
+        _, _, fresh = spawn_streams(scenario.seed, scenario.n_meters)
+        for index in range(2):
+            expected = [
+                protect_reading(float(i_v), scenario.meter_params, fresh[index])
+                for i_v in scenario.readings[index]
+            ]
+            assert reports[index].tolist() == expected
 
     def test_reported_value_at_least_true_value(self):
         scenario = matrix_scenario(np.full((5, 4), 100.0), epsilon=0.1)
         _, _, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
-        for slot in range(4):
-            for record in report_slot(scenario, slot, meter_rngs):
-                assert record.p_v >= 100.0
-
-    def test_slot_bounds_checked(self):
-        scenario = matrix_scenario(np.ones((2, 2)))
-        _, _, meter_rngs = spawn_streams(scenario.seed, 2)
-        with pytest.raises(ValueError, match="slot"):
-            report_slot(scenario, 2, meter_rngs)
+        assert np.all(report_readings(scenario, meter_rngs) >= 100.0)
 
     def test_stream_count_checked(self):
         scenario = matrix_scenario(np.ones((2, 2)))
         _, _, meter_rngs = spawn_streams(scenario.seed, 3)
         with pytest.raises(ValueError, match="streams"):
-            report_slot(scenario, 0, meter_rngs)
+            report_readings(scenario, meter_rngs)

@@ -47,11 +47,19 @@ def test_compute_scale_rejects_bad_epsilon(epsilon):
         compute_scale(1.0, epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+def test_compute_scale_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        compute_scale(1.0, epsilon)
+
+
 def test_compute_scale_rejects_bad_sensitivity():
     with pytest.raises(ValueError):
         compute_scale(0.0, 0.5)
     with pytest.raises(ValueError):
         compute_scale(-1.0, 0.5)
+    with pytest.raises(ValueError):
+        compute_scale(math.inf, 0.5)
 
 
 class TestPrivacyParams:
@@ -70,6 +78,11 @@ class TestPrivacyParams:
             PrivacyParams(epsilon=0.0)
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, delta_f=-2.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_location(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            PrivacyParams(epsilon=1.0, mu=mu)
 
     def test_defaults(self):
         params = PrivacyParams(epsilon=1.0)
@@ -105,6 +118,26 @@ def test_protected_reading_never_below_true_value():
 def test_protect_reading_rejects_negative_reading():
     with pytest.raises(ValueError):
         protect_reading(-1.0, PrivacyParams(epsilon=1.0), np.random.default_rng(0))
+
+
+def test_vector_draws_equal_scalar_draws_in_sequence():
+    # The array kernel relies on this: one (n,) draw from a Generator gives
+    # the same variates as n scalar draws from the same state.
+    rng = np.random.default_rng(5)
+    scalar = [float(rng.laplace(1.5, 2.0)) for _ in range(1000)]
+    vector = np.random.default_rng(5).laplace(1.5, 2.0, (10, 100))
+    assert vector.ravel().tolist() == scalar
+
+
+def test_array_protect_and_adjust_match_scalar_calls():
+    params = PrivacyParams(epsilon=0.2, mu=0.3)
+    values = np.linspace(0.0, 50.0, 24).reshape(4, 6)
+    for perturb in (protect_reading, adjust_reading):
+        rng = np.random.default_rng(8)
+        one_by_one = [perturb(float(v), params, rng) for v in values.ravel()]
+        whole = perturb(values, params, np.random.default_rng(8))
+        assert whole.shape == values.shape
+        assert whole.ravel().tolist() == one_by_one
 
 
 def test_adjusted_reading_clamped_at_zero():
