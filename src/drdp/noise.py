@@ -77,7 +77,9 @@ def sample_laplace(mu: float, scale: float, rng: np.random.Generator) -> NoiseSa
     return NoiseSample.from_raw(float(rng.laplace(mu, scale)))
 
 
-def protect_reading(i_v, params: PrivacyParams, rng: np.random.Generator):
+def protect_reading(
+    i_v: float | np.ndarray, params: PrivacyParams, rng: np.random.Generator
+) -> float | np.ndarray:
     """Meter side: add the magnitude of a fresh Laplace draw to a reading.
 
     Takes one reading or an array of them; an array consumes one draw per
@@ -89,7 +91,9 @@ def protect_reading(i_v, params: PrivacyParams, rng: np.random.Generator):
     return i_v + np.abs(rng.laplace(params.mu, params.scale, np.shape(i_v)))
 
 
-def adjust_reading(p_v, params: PrivacyParams, rng: np.random.Generator):
+def adjust_reading(
+    p_v: float | np.ndarray, params: PrivacyParams, rng: np.random.Generator
+) -> float | np.ndarray:
     """Grid side: subtract a fresh, independent noise magnitude.
 
     Takes one report or an array of them, like ``protect_reading``. The
