@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .billing import Tariff, baseline_flat_peak_bill, run_scenario
 from .coop import CoopModel, coop_expectation, coop_probability
 from .metering import LoadProfile, Scenario, load_csv, synthesize
@@ -201,6 +203,11 @@ def _validate(config: RunConfig, explicitly_set: set) -> None:
             "give either --input or synthetic-generator settings "
             "(--synth-days/--meters), not both"
         )
+    if config.input is not None and config.mode == "coop-table":
+        raise ConfigError(
+            "coop-table tabulates the closed form for --meters homes; "
+            "it reads no --input file"
+        )
 
 
 def _build_scenario(config: RunConfig, *, cooperative_home: bool = False) -> Scenario:
@@ -258,26 +265,109 @@ def _series_files(out_dir: Path, name: str, series: MetricSeries, x_header: str,
     )
 
 
-def _report_rows(result):
-    """``report.csv`` rows, slot-major, formatted straight from the arrays."""
-    share = result.share
-    meter_ids = result.scenario.meter_ids
-    for slot, peak in enumerate(result.peak.tolist()):
-        columns = zip(
-            meter_ids,
-            result.adjusted[:, slot].tolist(),
-            result.charged[:, slot].tolist(),
-            result.bills_cents[:, slot].tolist(),
+# report.csv is formatted one block of slots at a time: about this many rows
+# per block keeps memory at O(meters x block) whatever the run length.
+_REPORT_BLOCK_ROWS = 1 << 14
+
+_NUL, _COMMA, _NEWLINE, _ZERO = 0, ord(","), ord("\n"), ord("0")
+
+
+def _text_rows(texts) -> np.ndarray:
+    """ASCII strings as the rows of a ``uint8`` matrix, NUL-padded on the right."""
+    encoded = [text.encode("ascii") for text in texts]
+    width = max(map(len, encoded), default=1)
+    return np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+
+
+def _format_fixed(values: np.ndarray, decimals: int) -> np.ndarray:
+    """``format(v, f".{decimals}f")`` for each value, as NUL-padded ``uint8`` rows.
+
+    Digits come from ``k = rint(v * 10**decimals)`` in int64. That is the
+    correctly rounded decimal unless the scaled product sits within a few
+    ulps of a half, where its own rounding may have crossed the tie. Those
+    elements, and negative, non-finite or too large (scaled ``>= 2**53``)
+    values, are formatted by Python instead.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = values * 10.0**decimals
+        exact = (
+            np.isfinite(scaled)
+            & ~np.signbit(values)
+            & (scaled < 2.0**53)
+            & (np.abs(scaled - np.floor(scaled) - 0.5) > 4 * np.spacing(scaled))
         )
-        for meter_id, b_r, charged, bill in columns:
-            deviation = f"{abs(b_r - share):.6f}" if peak else ""
-            yield (slot, meter_id, f"{b_r:.6f}", int(peak), int(charged), f"{bill:.2f}", deviation)
+    k = np.rint(np.where(exact, scaled, 0.0)).astype(np.int64)
+    int_digits = len(str(int(k.max(initial=0)) // 10**decimals))
+    chars = np.empty((len(values), int_digits + 1 + decimals), np.uint8)
+    for column in range(int_digits + decimals, int_digits, -1):
+        k, digit = np.divmod(k, 10)
+        chars[:, column] = _ZERO + digit
+    chars[:, int_digits] = ord(".")
+    for column in range(int_digits - 1, -1, -1):
+        shown = k > 0 if column < int_digits - 1 else True
+        k, digit = np.divmod(k, 10)
+        chars[:, column] = np.where(shown, _ZERO + digit, _NUL)
+    fallback = np.flatnonzero(~exact)
+    if fallback.size:
+        text = _text_rows(format(v, f".{decimals}f") for v in values[fallback].tolist())
+        if text.shape[1] > chars.shape[1]:
+            chars = np.pad(chars, ((0, 0), (text.shape[1] - chars.shape[1], 0)))
+        chars[fallback] = _NUL
+        chars[fallback, : text.shape[1]] = text
+    return chars
+
+
+def _report_block(result, slot_text, meter_text, start: int, stop: int) -> bytes:
+    """``report.csv`` rows of slots ``start:stop``, slot-major, as bytes."""
+    n_meters = meter_text.shape[0]
+    n_rows = n_meters * (stop - start)
+    peak_rows = np.repeat(result.peak[start:stop], n_meters)
+    b_r = result.adjusted[:, start:stop].T.ravel()
+    peak_at = np.flatnonzero(peak_rows)
+    deviation_text = _format_fixed(np.abs(b_r[peak_at] - result.share), 6)
+    deviation = np.zeros((n_rows, deviation_text.shape[1]), np.uint8)
+    deviation[peak_at] = deviation_text
+    fields = (
+        np.repeat(slot_text[start:stop], n_meters, axis=0),
+        np.tile(meter_text, (stop - start, 1)),
+        _format_fixed(b_r, 6),
+        (_ZERO + peak_rows)[:, None],
+        (_ZERO + result.charged[:, start:stop].T.ravel())[:, None],
+        _format_fixed(result.bills_cents[:, start:stop].T.ravel(), 2),
+        deviation,
+    )
+    rows = np.empty((n_rows, sum(field.shape[1] + 1 for field in fields)), np.uint8)
+    column = 0
+    for field in fields:
+        width = field.shape[1]
+        rows[:, column : column + width] = field
+        rows[:, column + width] = _COMMA
+        column += width + 1
+    rows[:, -1] = _NEWLINE
+    return rows[rows != _NUL].tobytes()
+
+
+def _write_report(path: Path, result) -> None:
+    """Write ``report.csv`` straight from the result arrays.
+
+    Each block of slots becomes one byte buffer: fixed-width digit fields
+    built with whole-array arithmetic, whose NUL padding is dropped before
+    the block is written.
+    """
+    n_meters, n_slots = result.adjusted.shape
+    slot_text = _text_rows(str(slot) for slot in range(n_slots))
+    meter_text = _text_rows(str(meter_id) for meter_id in result.scenario.meter_ids)
+    block = max(1, _REPORT_BLOCK_ROWS // n_meters)
+    with open(path, "wb") as handle:
+        handle.write((",".join(REPORT_HEADER) + "\n").encode("ascii"))
+        for start in range(0, n_slots, block):
+            handle.write(_report_block(result, slot_text, meter_text, start, min(start + block, n_slots)))
 
 
 def _mode_run(config: RunConfig, out_dir: Path) -> None:
     scenario = _build_scenario(config)
     result = run_scenario(scenario)
-    _write_rows(out_dir / "report.csv", REPORT_HEADER, _report_rows(result))
+    _write_report(out_dir / "report.csv", result)
     _write_json(
         out_dir / "summary.json",
         {

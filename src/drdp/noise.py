@@ -85,6 +85,13 @@ def protect_reading(
     Takes one reading or an array of them; an array consumes one draw per
     element in order, exactly as repeated scalar calls would. The reported
     value can therefore never be below the true reading.
+
+    With ``mu = 0`` a reading ``i`` is reported as ``i + Exp(delta_f /
+    epsilon)``, which is (epsilon, 1 - e^-epsilon)-differentially private
+    per reading, not pure epsilon-DP: a report below ``i + delta_f`` rules
+    out the neighbouring reading ``i + delta_f``, and that happens with
+    probability 1 - e^-epsilon (about 0.39 at epsilon = 0.5). Beyond it the
+    two output densities differ by exactly e^epsilon.
     """
     if np.any(np.less(i_v, 0)):
         raise ValueError(f"reading must be non-negative, got {np.min(i_v)}")
@@ -98,7 +105,9 @@ def adjust_reading(
 
     Takes one report or an array of them, like ``protect_reading``. The
     result feeds billing, so it is clamped at zero rather than allowed to
-    go negative when the subtracted magnitude overshoots.
+    go negative when the subtracted magnitude overshoots. It only
+    post-processes the public report with independent noise, so it spends
+    no privacy budget and restores none.
     """
     return np.maximum(p_v - np.abs(rng.laplace(params.mu, params.scale, np.shape(p_v))), 0.0)
 

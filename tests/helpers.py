@@ -1,4 +1,7 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and reference implementations for the test suite."""
+import csv
+import io
+
 import numpy as np
 
 from drdp import (
@@ -10,6 +13,7 @@ from drdp import (
     spawn_streams,
     synthesize,
 )
+from drdp.cli import REPORT_HEADER
 
 
 def synth_scenario(
@@ -93,3 +97,29 @@ def reference_run(scenario, *, noisy=True):
             adjusted[m, s] = b_r
             bills[m, s] = b_r * (tariff.peak_price if peak and b_r >= share else tariff.unit_price)
     return protected, adjusted, bills, bills.sum(axis=1)
+
+
+def report_rows(result):
+    """``report.csv`` rows, slot-major, formatted one Python value at a time."""
+    share = result.share
+    meter_ids = result.scenario.meter_ids
+    for slot, peak in enumerate(result.peak.tolist()):
+        columns = zip(
+            meter_ids,
+            result.adjusted[:, slot].tolist(),
+            result.charged[:, slot].tolist(),
+            result.bills_cents[:, slot].tolist(),
+        )
+        for meter_id, b_r, charged, bill in columns:
+            deviation = f"{abs(b_r - share):.6f}" if peak else ""
+            yield (slot, meter_id, f"{b_r:.6f}", int(peak), int(charged), f"{bill:.2f}", deviation)
+
+
+def reference_report(result) -> bytes:
+    """The bytes of ``report.csv`` as ``csv.writer`` writes ``report_rows``:
+    the reference for the array emitter."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(REPORT_HEADER)
+    writer.writerows(report_rows(result))
+    return text.getvalue().encode("utf-8")

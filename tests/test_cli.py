@@ -90,6 +90,7 @@ class TestParseConfig:
             ["--no-such-flag"],
             ["--input", "a.csv", "--synth-days", "2"],
             ["--input", "a.csv", "--meters", "5"],
+            ["--input", "a.csv", "--mode", "coop-table"],
         ],
     )
     def test_invalid_settings_raise_config_error(self, argv):

@@ -30,6 +30,10 @@ CONFIGS = {
     "input": ["--input", INPUT_CSV, "--peak-factor", "3300", "--seed", "11"],
 }
 
+# coop-table tabulates the closed form for --meters homes and refuses a
+# readings file: these runs exit 1 and write nothing.
+REJECTED = {("input", "coop-table")}
+
 DIGESTS = {
     ('default', 'run'): {
         'report.csv': 'c78f32c371dd68c8d35668bd691d74cf1cc865d977b5beb3fa50cc9f0ca91373',
@@ -68,9 +72,6 @@ DIGESTS = {
     ('input', 'convergence'): {
         'convergence.csv': '87df699fe7b226fb5112f3d54e1f6a6899103e5b4bc8dc17a14aff4928bac694',
         'metrics.json': '20245a35380419a5b887f599e8e611e34946db38d66def252ee4b18e24507bae',
-    },
-    ('input', 'coop-table'): {
-        'coop_table.csv': 'e2311b40aa310eddee900d331be764f6a1ed8d5b67d9553e466a64c2bda58a08',
     },
     ('input', 'baseline-compare'): {
         'baseline_compare.csv': '31284c4435f002e4a9509ac34f93177de9bf506081946cac290e273bea205bcc',
@@ -124,7 +125,11 @@ def run_digests(config, mode):
 def test_outputs_match_golden_digests(config, mode, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_input_csv(tmp_path / INPUT_CSV)
-    assert run_digests(config, mode) == DIGESTS[config, mode]
+    if (config, mode) in REJECTED:
+        assert main(["--mode", mode, "--out", "out"] + CONFIGS[config]) == 1
+        assert not Path("out").exists()
+    else:
+        assert run_digests(config, mode) == DIGESTS[config, mode]
 
 
 if __name__ == "__main__":
@@ -140,6 +145,8 @@ if __name__ == "__main__":
         print("DIGESTS = {")
         for config in sorted(CONFIGS):
             for mode in MODES:
+                if (config, mode) in REJECTED:
+                    continue
                 with contextlib.redirect_stdout(io.StringIO()):
                     digests = run_digests(config, mode)
                 print(f"    ({config!r}, {mode!r}): {{")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from drdp import (
     NoiseSample,
@@ -192,6 +192,43 @@ def test_indistinguishability_of_adjacent_inputs(epsilon):
     ratio = np.log(counts_a[usable] / counts_b[usable])
     slack = 4.0 * np.sqrt(1.0 / counts_a[usable] + 1.0 / counts_b[usable])
     assert np.all(np.abs(ratio) <= epsilon + slack)
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 1.0])
+def test_protect_reading_is_epsilon_delta_private_with_one_sided_delta(epsilon):
+    """A meter reports ``i + Exp(delta_f / epsilon)``. Against the neighbouring
+    reading ``i + delta_f`` that is (epsilon, 1 - e^-epsilon)-DP and no
+    better: all of delta is the mass on ``[i, i + delta_f)``, which the
+    neighbour never reports, while beyond it the densities differ by
+    exactly e^epsilon."""
+    params = PrivacyParams(epsilon, 0.0, 2.0)
+    i, gap_end = 100.0, 100.0 + params.delta_f
+    delta = 1.0 - math.exp(-epsilon)
+
+    report = stats.expon(loc=i, scale=params.scale)
+    neighbour = stats.expon(loc=gap_end, scale=params.scale)
+    assert report.cdf(gap_end) == pytest.approx(delta, rel=1e-12)
+    assert neighbour.cdf(gap_end) == 0.0
+    tail = gap_end + np.linspace(0.0, 20.0 * params.scale, 41)
+    np.testing.assert_allclose(neighbour.pdf(tail) / report.pdf(tail), math.exp(epsilon), rtol=1e-9)
+
+    def smallest_delta(p, q):
+        """sup over events S of p(S) - e^epsilon q(S), the hockey-stick divergence."""
+        excess = lambda y: max(0.0, p.pdf(y) - math.exp(epsilon) * q.pdf(y))
+        return integrate.quad(excess, i, gap_end)[0] + integrate.quad(excess, gap_end, math.inf)[0]
+
+    assert smallest_delta(report, neighbour) == pytest.approx(delta, rel=1e-9)
+    assert smallest_delta(neighbour, report) == pytest.approx(0.0, abs=1e-12)
+
+    n = 100_000
+    rng = np.random.default_rng(31)
+    out_i = protect_reading(np.full(n, i), params, rng)
+    out_neighbour = protect_reading(np.full(n, gap_end), params, rng)
+    assert stats.kstest(out_i - i, stats.expon(scale=params.scale).cdf).statistic < 0.01
+    # Five binomial standard deviations of a fraction of n draws.
+    tolerance = 5.0 * math.sqrt(delta * (1.0 - delta) / n)
+    assert abs(np.mean(out_i < gap_end) - delta) <= tolerance
+    assert np.mean(out_neighbour < gap_end) == 0.0
 
 
 def test_spawn_streams_deterministic_and_distinct():
