@@ -7,10 +7,8 @@ analytics and experiment metrics round out the package; see ``drdp.cli``
 for the command-line harness.
 """
 from .billing import (
-    MeterSlotBill,
     OpCounter,
     ScenarioResult,
-    SlotBillingResult,
     Tariff,
     baseline_flat_peak_bill,
     run_scenario,
@@ -69,8 +67,6 @@ __all__ = [
     "synthesize",
     "report_readings",
     "Tariff",
-    "MeterSlotBill",
-    "SlotBillingResult",
     "ScenarioResult",
     "OpCounter",
     "run_scenario",

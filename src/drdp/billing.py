@@ -22,8 +22,6 @@ from .noise import adjust_reading, spawn_streams
 
 __all__ = [
     "Tariff",
-    "MeterSlotBill",
-    "SlotBillingResult",
     "ScenarioResult",
     "OpCounter",
     "run_scenario",
@@ -85,7 +83,8 @@ class ScenarioResult:
     stage, plus the per-slot peak flags.
 
     Row order in every matrix matches ``scenario.meter_ids``. ``charged``
-    marks the meter-slots billed at the peak price.
+    marks the meter-slots billed at the peak price; ``share`` is the fair
+    per-home share of the peak threshold, in Wh.
     """
 
     scenario: Scenario
@@ -95,11 +94,7 @@ class ScenarioResult:
     totals_cents: np.ndarray
     peak: np.ndarray
     charged: np.ndarray
-
-    @property
-    def share(self) -> float:
-        """Fair per-home share of the peak threshold, in Wh."""
-        return self.scenario.tariff.peak_factor / self.scenario.n_meters
+    share: float
 
     @functools.cached_property
     def slots(self) -> tuple[SlotBillingResult, ...]:
@@ -156,6 +151,18 @@ def _regional_sums(basis: np.ndarray) -> np.ndarray:
     return np.cumsum(basis, axis=0)[-1]
 
 
+def _bill(
+    basis: np.ndarray, tariff: Tariff, share: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peak and price rule: a slot whose regional sum reaches the
+    threshold is a peak, and during a peak the homes at or above ``share``
+    pay the peak price. Returns ``(peak, charged, bills_cents)``."""
+    peak = _regional_sums(basis) >= tariff.peak_factor
+    charged = peak & (basis >= share)
+    bills_cents = basis * np.where(charged, tariff.peak_price, tariff.unit_price)
+    return peak, charged, bills_cents
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -168,7 +175,6 @@ def run_scenario(
     operates on the true readings; everything else is unchanged. Pass an
     ``OpCounter`` to tally per-meter sub-operations.
     """
-    tariff = scenario.tariff
     if noisy:
         _, grid_rng, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
         protected = report_readings(scenario, meter_rngs)
@@ -179,9 +185,8 @@ def run_scenario(
         )
     else:
         protected = adjusted = scenario.readings
-    peak = _regional_sums(adjusted) >= tariff.peak_factor
-    charged = peak & (adjusted >= tariff.peak_factor / scenario.n_meters)
-    bills_cents = adjusted * np.where(charged, tariff.peak_price, tariff.unit_price)
+    share = scenario.tariff.peak_factor / scenario.n_meters
+    peak, charged, bills_cents = _bill(adjusted, scenario.tariff, share)
     if counter is not None:
         counter.protect += adjusted.size
         counter.adjust += adjusted.size
@@ -195,6 +200,7 @@ def run_scenario(
         totals_cents=bills_cents.sum(axis=1),
         peak=peak,
         charged=charged,
+        share=share,
     )
 
 
@@ -203,15 +209,17 @@ def baseline_flat_peak_bill(readings: np.ndarray, tariff: Tariff) -> np.ndarray:
 
     Whenever the regional sum reaches the threshold, every home pays the
     peak price for that slot — including homes consuming well below the
-    fair share. Returns accumulated per-meter totals in cents, using the
-    same peak rule and accumulation as the main pipeline so the comparison
-    isolates the billing policy.
+    fair share. That is the main pipeline's rule with a share of zero, so
+    the comparison isolates the billing policy. Returns accumulated
+    per-meter totals in cents.
     """
     readings = np.ascontiguousarray(readings, dtype=float)
     if readings.ndim != 2 or readings.shape[0] == 0:
         raise ValueError(
             f"expected a meter-by-slot matrix with at least one meter, got shape {readings.shape}"
         )
-    peak = _regional_sums(readings) >= tariff.peak_factor
-    price = np.where(peak, tariff.peak_price, tariff.unit_price)
-    return (readings * price).sum(axis=1)
+    # A zero share charges every home only if no reading is below zero.
+    if not np.all(readings >= 0):
+        raise ValueError("readings must be non-negative")
+    _, _, bills_cents = _bill(readings, tariff, 0.0)
+    return bills_cents.sum(axis=1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .billing import Tariff, baseline_flat_peak_bill, run_scenario
 from .coop import CoopModel, coop_expectation, coop_probability
-from .metering import LoadProfile, Scenario, load_csv, synthesize
+from .metering import SLOTS_PER_DAY, LoadProfile, Scenario, load_csv, synthesize
 from .metrics import (
     DEFAULT_EPSILON_SWEEP,
     MetricSeries,
@@ -81,21 +81,10 @@ class RunConfig:
     mode: str = "run"
 
 
+# Each setting parses as the type of its default; the one None default is a path.
 _FIELD_PARSERS = {
-    "input": str,
-    "n_days": int,
-    "n_meters": int,
-    "epsilon1": float,
-    "epsilon2": float,
-    "delta_f1": float,
-    "delta_f2": float,
-    "mu": float,
-    "peak_factor": float,
-    "unit_price": float,
-    "peak_price": float,
-    "seed": int,
-    "output_dir": str,
-    "mode": str,
+    field.name: str if field.default is None else type(field.default)
+    for field in dataclasses.fields(RunConfig)
 }
 
 
@@ -499,6 +488,11 @@ def main(argv: list[str] | None = None) -> int:
         return execute(config)
     except (OSError, ValueError) as exc:
         print(f"drdp: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        size = f"{config.n_meters} meters x {config.n_days * SLOTS_PER_DAY} slots"
+        asked = size if config.input is None else f"the readings in {config.input}"
+        print(f"drdp: error: not enough memory for {asked}", file=sys.stderr)
         return 2
 
 

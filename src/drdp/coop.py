@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .billing import ScenarioResult
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -165,22 +167,17 @@ def enumerate_oracle(model: CoopModel, threshold: int | None = None) -> tuple[fl
     return probability, expectation
 
 
-def measure_coop_state(results: Iterable) -> list[CoopObservation]:
-    """Read the cooperative state out of billed slots.
+def measure_coop_state(result: ScenarioResult) -> list[CoopObservation]:
+    """Read the cooperative state out of a billed scenario.
 
-    Accepts a ``ScenarioResult`` or any iterable of per-slot billing
-    results; off-peak slots are skipped because the fair share is undefined
-    there. A home counts as cooperating when its billing basis is strictly
-    below the slot average.
+    Off-peak slots are skipped because the fair share is undefined there.
+    A home counts as cooperating when its billing basis is strictly below
+    the fair share.
     """
-    slots = getattr(results, "slots", results)
-    observations = []
-    for result in slots:
-        if not result.peak_in_place:
-            continue
-        n = len(result.bills)
-        q = sum(1 for bill in result.bills if bill.b_r < result.average)
-        observations.append(
-            CoopObservation(slot=result.slot, q=q, cooperative=q >= math.ceil(n / 2))
-        )
-    return observations
+    slots = np.flatnonzero(result.peak)
+    below = (result.adjusted[:, slots] < result.share).sum(axis=0)
+    majority = math.ceil(result.adjusted.shape[0] / 2)
+    return [
+        CoopObservation(slot=slot, q=q, cooperative=q >= majority)
+        for slot, q in zip(slots.tolist(), below.tolist())
+    ]

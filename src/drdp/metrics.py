@@ -73,17 +73,23 @@ def _with_epsilon(scenario: Scenario, epsilon: float, run_key: int | None) -> Sc
     )
 
 
+def _budgets(epsilons) -> list[float]:
+    """The distinct budgets of a sweep, ascending; all must be positive."""
+    values = sorted(set(float(e) for e in epsilons))
+    if not values:
+        raise ValueError("empty budget sweep")
+    if values[0] <= 0:
+        raise ValueError(f"budgets must be positive, got {values[0]}")
+    return values
+
+
 def mae_sweep(scenario: Scenario, epsilons=DEFAULT_EPSILON_SWEEP) -> MetricSeries:
     """Reported-value distortion across privacy budgets.
 
     Only the meter-side stage matters here, so the sweep perturbs readings
     without running billing.
     """
-    values = sorted(set(float(e) for e in epsilons))
-    if not values:
-        raise ValueError("empty budget sweep")
-    if values[0] <= 0:
-        raise ValueError(f"budgets must be positive, got {values[0]}")
+    values = _budgets(epsilons)
     points = []
     for run_key, epsilon in enumerate(values):
         run = _with_epsilon(scenario, epsilon, run_key)
@@ -98,11 +104,7 @@ def bill_error_series(scenario: Scenario, epsilons=DEFAULT_EPSILON_SWEEP) -> Met
     Each point compares one independent noisy run against the zero-noise
     bill of the same scenario.
     """
-    values = sorted(set(float(e) for e in epsilons))
-    if not values:
-        raise ValueError("empty budget sweep")
-    if values[0] <= 0:
-        raise ValueError(f"budgets must be positive, got {values[0]}")
+    values = _budgets(epsilons)
     reference = float(run_scenario(scenario, noisy=False).totals_cents.sum())
     if reference == 0:
         raise ValueError("zero-noise total bill is zero; relative error is undefined")

@@ -99,6 +99,18 @@ def reference_run(scenario, *, noisy=True):
     return protected, adjusted, bills, bills.sum(axis=1)
 
 
+def reference_flat_bill(readings, tariff):
+    """Flat-peak totals, one slot and one home at a time: in a slot whose
+    Python ``sum`` reaches the threshold every home pays the peak price."""
+    readings = np.asarray(readings, dtype=float)
+    bills = np.empty(readings.shape)
+    for s, column in enumerate(readings.T.tolist()):
+        price = tariff.peak_price if sum(column) >= tariff.peak_factor else tariff.unit_price
+        for m, reading in enumerate(column):
+            bills[m, s] = reading * price
+    return bills.sum(axis=1)
+
+
 def report_rows(result):
     """``report.csv`` rows, slot-major, formatted one Python value at a time."""
     share = result.share

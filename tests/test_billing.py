@@ -15,7 +15,7 @@ from drdp import (
     baseline_flat_peak_bill,
     run_scenario,
 )
-from helpers import matrix_scenario, reference_run, synth_scenario
+from helpers import matrix_scenario, reference_flat_bill, reference_run, synth_scenario
 
 # Hand-checked 2-meter, 2-slot case: the second slot stays under the
 # threshold, the first crosses it with one home above the fair share.
@@ -263,6 +263,11 @@ class TestFlatPeakBaseline:
         flat = baseline_flat_peak_bill([[60.0, 60.0], [40.0, 39.9]], tariff)
         np.testing.assert_array_equal(flat, [60.0 * 25.0 + 60.0 * 10.0, 40.0 * 25.0 + 39.9 * 10.0])
 
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, float("nan")])
+    def test_rejects_negative_or_nan_readings(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            baseline_flat_peak_bill([[10.0, 20.0], [bad, 5.0]], Tariff(peak_factor=10.0))
+
 
 SHARES = (100.0, 250.0, 1000.0)
 
@@ -338,3 +343,20 @@ class TestKernelMatchesReference:
         result = run_scenario(at_threshold)
         assert result.peak[5]
         assert result.adjusted[:, 5].tobytes() == adjusted[:, 5].tobytes()
+
+
+class TestFlatPeakMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    @example((matrix_scenario([[60.0, 0.0], [40.0, 0.0]], peak_factor=100.0), False))
+    def test_equals_scalar_reference(self, case):
+        scenario, _ = case
+        readings = scenario.readings
+        # the threshold as given, and moved exactly onto slot 0's sum
+        slot_sum = sum(readings[:, 0].tolist())
+        tariffs = [scenario.tariff]
+        if slot_sum > 0:
+            tariffs.append(dataclasses.replace(scenario.tariff, peak_factor=slot_sum))
+        for tariff in tariffs:
+            flat = baseline_flat_peak_bill(readings, tariff)
+            assert flat.tobytes() == reference_flat_bill(readings, tariff).tobytes()

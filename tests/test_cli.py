@@ -1,9 +1,11 @@
 """Command-line harness: config resolution, modes, outputs, exit codes."""
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from drdp import cli
 from drdp.cli import ConfigError, MODES, RunConfig, _write_json, main, parse_config
 
 
@@ -96,6 +98,34 @@ class TestParseConfig:
     def test_invalid_settings_raise_config_error(self, argv):
         with pytest.raises(ConfigError):
             parse_config(argv)
+
+    # one value per RunConfig field, none of them the default
+    NON_DEFAULT = {
+        "input": "a.csv",
+        "n_days": 2,
+        "n_meters": 4,
+        "epsilon1": 0.25,
+        "epsilon2": 0.75,
+        "delta_f1": 2.0,
+        "delta_f2": 3.0,
+        "mu": -0.5,
+        "peak_factor": 9000.0,
+        "unit_price": 12.0,
+        "peak_price": 30.0,
+        "seed": 7,
+        "output_dir": "elsewhere",
+        "mode": "mae-sweep",
+    }
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_every_field_round_trips_through_config_file(self, tmp_path, field):
+        value = self.NON_DEFAULT[field]
+        assert value != getattr(RunConfig(), field)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field}={value}\n", encoding="utf-8")
+        config = parse_config(["--config", str(cfg)])
+        assert config == dataclasses.replace(RunConfig(), **{field: value})
+        assert type(getattr(config, field)) is type(value)
 
     def test_input_alone_is_fine(self):
         config = parse_config(["--input", "a.csv"])
@@ -200,6 +230,36 @@ class TestRunMode:
     def test_json_output_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
             _write_json(tmp_path / "x.json", {"total": float("nan")})
+
+    @pytest.mark.parametrize(
+        "mode,stage",
+        [
+            ("run", "spawn_streams"),
+            ("run", "run_scenario"),
+            ("mae-sweep", "mae_sweep"),
+            ("coop-table", "coop_probability"),
+        ],
+    )
+    def test_out_of_memory_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, mode, stage):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        argv = ["--mode", mode, "--meters", "3", "--synth-days", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "drdp: error: not enough memory for 3 meters x 288 slots\n"
+
+    def test_out_of_memory_on_input_names_the_file(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data.csv"
+        write_input_csv(data, [(1, 0, 50.0), (2, 0, 60.0)])
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.44 GiB")
+
+        monkeypatch.setattr(cli, "load_csv", exhausted)
+        assert main(["--input", str(data), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"drdp: error: not enough memory for the readings in {data}\n"
 
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

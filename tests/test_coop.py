@@ -1,13 +1,14 @@
 """Cooperative-state math: closed forms, enumeration oracle, empirical reads."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from drdp import (
     CoopModel,
-    MeterSlotBill,
-    SlotBillingResult,
     coop_expectation,
     coop_probability,
     enumerate_oracle,
@@ -16,26 +17,6 @@ from drdp import (
 )
 from drdp.cli import main
 from helpers import matrix_scenario
-
-
-def slot_result(slot, average, b_r_values, peak=True):
-    bills = tuple(
-        MeterSlotBill(
-            meter_id=i,
-            b_r=b_r,
-            charged_peak=peak and b_r >= average,
-            i_b=0.0,
-            d_f=abs(b_r - average) if peak else None,
-        )
-        for i, b_r in enumerate(b_r_values)
-    )
-    return SlotBillingResult(
-        slot=slot,
-        peak_in_place=peak,
-        regional_sum=sum(b_r_values),
-        average=average if peak else None,
-        bills=bills,
-    )
 
 
 class TestCoopModel:
@@ -178,20 +159,19 @@ class TestEnumerationOracle:
 
 class TestMeasureCoopState:
     def test_counts_strictly_below_share(self):
-        results = [
-            slot_result(0, 50.0, [10.0, 20.0, 90.0]),  # q=2 of 3 -> cooperative
-            slot_result(1, 50.0, [50.0, 80.0, 20.0]),  # exactly-at-share is not below
-            slot_result(2, None, [10.0, 10.0, 10.0], peak=False),
-        ]
-        observations = measure_coop_state(results)
+        # share 50 Wh; slot 0: q=2 of 3 -> cooperative; slot 1: the home
+        # exactly at the share is not below it; slot 2 is off-peak
+        readings = np.transpose([[10.0, 20.0, 120.0], [50.0, 80.0, 20.0], [10.0, 10.0, 10.0]])
+        result = run_scenario(matrix_scenario(readings, peak_factor=150.0), noisy=False)
+        observations = measure_coop_state(result)
         assert [o.slot for o in observations] == [0, 1]
         assert observations[0].q == 2 and observations[0].cooperative
         assert observations[1].q == 1 and not observations[1].cooperative
 
     def test_half_below_share_is_cooperative_for_even_n(self):
-        observations = measure_coop_state(
-            [slot_result(0, 50.0, [10.0, 20.0, 90.0, 80.0])]
-        )
+        readings = [[10.0], [20.0], [90.0], [80.0]]
+        result = run_scenario(matrix_scenario(readings, peak_factor=200.0), noisy=False)
+        observations = measure_coop_state(result)
         assert observations[0].q == 2
         assert observations[0].cooperative
 
@@ -209,3 +189,65 @@ class TestMeasureCoopState:
         for slot_obs, slot_res in zip(measure_coop_state(result), result.slots):
             charged = sum(b.charged_peak for b in slot_res.bills)
             assert slot_obs.q + charged == 3
+
+
+SHARES = (100.0, 250.0, 1000.0)
+
+
+@st.composite
+def coop_cases(draw):
+    """Billed scenarios whose homes often sit exactly at the fair share.
+
+    ``all-peak`` adds a last home that alone reaches the threshold in every
+    slot; ``no-peak`` keeps every home below the share, in whole Wh, so
+    every slot sum is exact and under the threshold.
+    """
+    regime = draw(st.sampled_from(("threshold", "all-peak", "no-peak")))
+    n_meters = draw(st.integers(1, 10))
+    n_slots = draw(st.integers(1, 10))
+    share = draw(st.sampled_from(SHARES))
+    if regime == "no-peak":
+        cell = st.integers(0, int(share) - 1).map(float)
+    else:
+        cell = st.one_of(
+            st.just(share),
+            st.integers(0, 3 * int(share)).map(float),
+            st.floats(0.0, 3.0 * share, allow_nan=False, allow_infinity=False),
+        )
+    size = n_meters * n_slots
+    readings = np.reshape(draw(st.lists(cell, min_size=size, max_size=size)), (n_meters, n_slots))
+    if regime == "all-peak":
+        readings = np.vstack([readings, np.full(n_slots, 3.0 * share * (n_meters + 1))])
+    scenario = matrix_scenario(
+        readings,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        peak_factor=share * readings.shape[0],
+    )
+    return scenario, regime, draw(st.booleans())
+
+
+def coop_from_slot_view(result):
+    """The cooperative state counted home by home over the per-slot view."""
+    observed = []
+    for slot in result.slots:
+        if slot.peak_in_place:
+            q = sum(bill.b_r < slot.average for bill in slot.bills)
+            observed.append((slot.slot, q, q >= math.ceil(len(slot.bills) / 2)))
+    return observed
+
+
+class TestMeasureCoopStateMatchesSlotView:
+    @settings(max_examples=150, deadline=None)
+    @given(coop_cases())
+    @example((matrix_scenario(np.full((4, 3), 250.0), peak_factor=1000.0), "threshold", False))
+    def test_array_reader_equals_per_bill_count(self, case):
+        scenario, regime, noisy = case
+        result = run_scenario(scenario, noisy=noisy)
+        observations = measure_coop_state(result)
+        assert [(o.slot, o.q, o.cooperative) for o in observations] == coop_from_slot_view(result)
+        assert all(type(o.slot) is int and type(o.q) is int for o in observations)
+        assert all(type(o.cooperative) is bool for o in observations)
+        if not noisy and regime == "all-peak":
+            assert len(observations) == scenario.n_slots
+        if not noisy and regime == "no-peak":
+            assert observations == []

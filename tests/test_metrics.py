@@ -68,9 +68,9 @@ class TestMaeSweep:
 
     def test_rejects_bad_budgets(self):
         scenario = synth_scenario(n_meters=2, n_days=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty budget sweep"):
             mae_sweep(scenario, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budgets must be positive, got -1.0"):
             mae_sweep(scenario, (0.5, -1.0))
 
 
@@ -88,8 +88,10 @@ class TestBillErrorSeries:
 
     def test_empty_sweep_rejected(self):
         scenario = synth_scenario(n_meters=2, n_days=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty budget sweep"):
             bill_error_series(scenario, ())
+        with pytest.raises(ValueError, match="budgets must be positive, got 0.0"):
+            bill_error_series(scenario, (0.5, 0.0))
 
 
 class TestConvergenceSeries:
