@@ -80,7 +80,7 @@ class SlotBillingResult:
 @dataclass(frozen=True)
 class ScenarioResult:
     """Dense outcome of a scenario: one ``(n_meters, n_slots)`` array per
-    stage, plus the per-slot peak flags.
+    stage, plus the per-slot peak flags and regional sums (``regional_wh``).
 
     Row order in every matrix matches ``scenario.meter_ids``. ``charged``
     marks the meter-slots billed at the peak price; ``share`` is the fair
@@ -95,12 +95,13 @@ class ScenarioResult:
     peak: np.ndarray
     charged: np.ndarray
     share: float
+    regional_wh: np.ndarray
 
     @functools.cached_property
     def slots(self) -> tuple[SlotBillingResult, ...]:
         """Per-slot, per-home view of the arrays, built on first access."""
         share = self.share
-        regional_sums = _regional_sums(self.adjusted).tolist()
+        regional_sums = self.regional_wh.tolist()
         views = []
         for slot, peak in enumerate(self.peak.tolist()):
             bills = tuple(
@@ -123,7 +124,11 @@ class ScenarioResult:
 
     @property
     def total_adjusted_wh(self) -> float:
-        return float(self.adjusted.sum())
+        return float(_ordered_sum(self.regional_wh, axis=0))
+
+    @property
+    def total_bill_cents(self) -> float:
+        return float(_ordered_sum(self.totals_cents, axis=0))
 
 
 @dataclass
@@ -140,27 +145,24 @@ class OpCounter:
         return self.protect + self.adjust + self.sum_terms + self.bill
 
 
-def _regional_sums(basis: np.ndarray) -> np.ndarray:
-    """Per-slot sums over the meters of a meter-major matrix.
-
-    A running sum adds the meters one at a time, in row order, exactly like
-    a Python ``sum`` over one slot. ``np.sum`` does not promise that order:
-    along a contiguous axis (a single slot, or a slot-major array) it sums
-    pairwise, whose last bits differ and can flip the inclusive threshold.
-    """
-    return np.cumsum(basis, axis=0)[-1]
+def _ordered_sum(values: np.ndarray, axis: int) -> np.ndarray:
+    """The one summation order of every total: add along ``axis`` one index
+    at a time, in index order, like a Python ``sum``, whatever the array's
+    length or memory layout. Returns a copy, not a view of the running sum."""
+    return np.cumsum(values, axis=axis).take(-1, axis=axis)
 
 
 def _bill(
     basis: np.ndarray, tariff: Tariff, share: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The peak and price rule: a slot whose regional sum reaches the
     threshold is a peak, and during a peak the homes at or above ``share``
-    pay the peak price. Returns ``(peak, charged, bills_cents)``."""
-    peak = _regional_sums(basis) >= tariff.peak_factor
+    pay the peak price. Returns ``(regional_wh, peak, charged, bills_cents)``."""
+    regional_wh = _ordered_sum(basis, axis=0)
+    peak = regional_wh >= tariff.peak_factor
     charged = peak & (basis >= share)
     bills_cents = basis * np.where(charged, tariff.peak_price, tariff.unit_price)
-    return peak, charged, bills_cents
+    return regional_wh, peak, charged, bills_cents
 
 
 def run_scenario(
@@ -178,15 +180,12 @@ def run_scenario(
     if noisy:
         _, grid_rng, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
         protected = report_readings(scenario, meter_rngs)
-        # The grid stream is drawn slot by slot, meters within a slot; C
-        # order fixes the summation order of the per-meter totals.
-        adjusted = np.ascontiguousarray(
-            adjust_reading(protected.T, scenario.grid_params, grid_rng).T
-        )
+        # The grid stream is drawn slot by slot, meters within a slot.
+        adjusted = adjust_reading(protected.T, scenario.grid_params, grid_rng).T
     else:
         protected = adjusted = scenario.readings
     share = scenario.tariff.peak_factor / scenario.n_meters
-    peak, charged, bills_cents = _bill(adjusted, scenario.tariff, share)
+    regional_wh, peak, charged, bills_cents = _bill(adjusted, scenario.tariff, share)
     if counter is not None:
         counter.protect += adjusted.size
         counter.adjust += adjusted.size
@@ -197,10 +196,11 @@ def run_scenario(
         protected=protected,
         adjusted=adjusted,
         bills_cents=bills_cents,
-        totals_cents=bills_cents.sum(axis=1),
+        totals_cents=_ordered_sum(bills_cents, axis=1),
         peak=peak,
         charged=charged,
         share=share,
+        regional_wh=regional_wh,
     )
 
 
@@ -213,13 +213,13 @@ def baseline_flat_peak_bill(readings: np.ndarray, tariff: Tariff) -> np.ndarray:
     the comparison isolates the billing policy. Returns accumulated
     per-meter totals in cents.
     """
-    readings = np.ascontiguousarray(readings, dtype=float)
-    if readings.ndim != 2 or readings.shape[0] == 0:
+    readings = np.asarray(readings, dtype=float)
+    if readings.ndim != 2 or 0 in readings.shape:
         raise ValueError(
-            f"expected a meter-by-slot matrix with at least one meter, got shape {readings.shape}"
+            f"expected a meter-by-slot matrix with at least one meter and slot, got shape {readings.shape}"
         )
     # A zero share charges every home only if no reading is below zero.
     if not np.all(readings >= 0):
         raise ValueError("readings must be non-negative")
-    _, _, bills_cents = _bill(readings, tariff, 0.0)
-    return bills_cents.sum(axis=1)
+    _, _, _, bills_cents = _bill(readings, tariff, 0.0)
+    return _ordered_sum(bills_cents, axis=1)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .billing import Tariff, baseline_flat_peak_bill, run_scenario
+from .billing import Tariff, _ordered_sum, baseline_flat_peak_bill, run_scenario
 from .coop import CoopModel, coop_expectation, coop_probability
 from .metering import SLOTS_PER_DAY, LoadProfile, Scenario, load_csv, synthesize
 from .metrics import (
@@ -197,6 +197,15 @@ def _validate(config: RunConfig, explicitly_set: set) -> None:
             "coop-table tabulates the closed form for --meters homes; "
             "it reads no --input file"
         )
+    if (
+        config.mode == "convergence"
+        and "epsilon2" in explicitly_set
+        and config.epsilon2 != config.epsilon1
+    ):
+        raise ConfigError(
+            "convergence runs the meter and the grid side at --epsilon1; "
+            f"--epsilon2 {config.epsilon2:g} differs from it"
+        )
 
 
 def _build_scenario(config: RunConfig, *, cooperative_home: bool = False) -> Scenario:
@@ -365,7 +374,7 @@ def _mode_run(config: RunConfig, out_dir: Path) -> None:
                 {"meter_id": meter_id, "total_cents": round(float(total), 2)}
                 for meter_id, total in zip(scenario.meter_ids, result.totals_cents)
             ],
-            "total_bill_cents": round(float(result.totals_cents.sum()), 2),
+            "total_bill_cents": round(result.total_bill_cents, 2),
             "total_adjusted_wh": round(result.total_adjusted_wh, 6),
             "peak_slot_count": result.peak_slot_count,
             "n_meters": scenario.n_meters,
@@ -375,7 +384,7 @@ def _mode_run(config: RunConfig, out_dir: Path) -> None:
     print(
         f"run: {scenario.n_meters} meters x {scenario.n_slots} slots, "
         f"{result.peak_slot_count} peak slots, "
-        f"total bill {float(result.totals_cents.sum()):.2f} cents -> {out_dir}"
+        f"total bill {result.total_bill_cents:.2f} cents -> {out_dir}"
     )
 
 
@@ -446,8 +455,8 @@ def _mode_baseline_compare(config: RunConfig, out_dir: Path) -> None:
             for meter_id, d, f in zip(scenario.meter_ids, dynamic, flat)
         ],
     )
-    dynamic_total = float(dynamic.sum())
-    flat_total = float(flat.sum())
+    dynamic_total = float(_ordered_sum(dynamic, axis=0))
+    flat_total = float(_ordered_sum(flat, axis=0))
     saving = (
         f", {(1 - dynamic_total / flat_total):.1%} lower" if flat_total > 0 else ""
     )

@@ -32,6 +32,11 @@ __all__ = [
 ENUMERATION_LIMIT = 20
 
 
+def _majority(n: int) -> int:
+    """The majority threshold: half of ``n`` homes, rounded up."""
+    return math.ceil(n / 2)
+
+
 @dataclass(frozen=True)
 class CoopModel:
     """Independent homes, each below the fair share with its own probability.
@@ -66,7 +71,7 @@ class CoopModel:
     @property
     def threshold(self) -> int:
         """Minimum number of below-share homes for a cooperative state."""
-        return math.ceil(self.n / 2)
+        return _majority(self.n)
 
     @property
     def is_shared(self) -> bool:
@@ -176,7 +181,7 @@ def measure_coop_state(result: ScenarioResult) -> list[CoopObservation]:
     """
     slots = np.flatnonzero(result.peak)
     below = (result.adjusted[:, slots] < result.share).sum(axis=0)
-    majority = math.ceil(result.adjusted.shape[0] / 2)
+    majority = _majority(result.adjusted.shape[0])
     return [
         CoopObservation(slot=slot, q=q, cooperative=q >= majority)
         for slot, q in zip(slots.tolist(), below.tolist())

@@ -105,13 +105,13 @@ def bill_error_series(scenario: Scenario, epsilons=DEFAULT_EPSILON_SWEEP) -> Met
     bill of the same scenario.
     """
     values = _budgets(epsilons)
-    reference = float(run_scenario(scenario, noisy=False).totals_cents.sum())
+    reference = run_scenario(scenario, noisy=False).total_bill_cents
     if reference == 0:
         raise ValueError("zero-noise total bill is zero; relative error is undefined")
     points = []
     for run_key, epsilon in enumerate(values):
         run = _with_epsilon(scenario, epsilon, run_key)
-        total = float(run_scenario(run).totals_cents.sum())
+        total = run_scenario(run).total_bill_cents
         points.append((epsilon, abs(total - reference) / reference))
     return MetricSeries(
         "bill_error_vs_epsilon", tuple(points), x_unit="epsilon", y_unit="fraction"

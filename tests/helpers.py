@@ -72,9 +72,10 @@ def reference_run(scenario, *, noisy=True):
     """The report-adjust-detect-bill rules, one scalar draw at a time.
 
     Draw order is that of a per-slot pipeline: each meter's stream slot by
-    slot, and the grid stream slot-major, meter-minor. Each slot is summed
-    with Python ``sum``. Returns ``(protected, adjusted, bills_cents,
-    totals_cents)`` for comparison with ``run_scenario``.
+    slot, and the grid stream slot-major, meter-minor. Each slot and each
+    meter's bills are summed with Python ``sum``. Returns ``(protected,
+    adjusted, bills_cents, totals_cents)`` for comparison with
+    ``run_scenario``.
     """
     _, grid_rng, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
     meter, grid, tariff = scenario.meter_params, scenario.grid_params, scenario.tariff
@@ -96,19 +97,25 @@ def reference_run(scenario, *, noisy=True):
         for m, b_r in enumerate(column):
             adjusted[m, s] = b_r
             bills[m, s] = b_r * (tariff.peak_price if peak and b_r >= share else tariff.unit_price)
-    return protected, adjusted, bills, bills.sum(axis=1)
+    return protected, adjusted, bills, row_sums(bills)
 
 
 def reference_flat_bill(readings, tariff):
     """Flat-peak totals, one slot and one home at a time: in a slot whose
-    Python ``sum`` reaches the threshold every home pays the peak price."""
+    Python ``sum`` reaches the threshold every home pays the peak price.
+    Each home's bills are added with Python ``sum``."""
     readings = np.asarray(readings, dtype=float)
     bills = np.empty(readings.shape)
     for s, column in enumerate(readings.T.tolist()):
         price = tariff.peak_price if sum(column) >= tariff.peak_factor else tariff.unit_price
         for m, reading in enumerate(column):
             bills[m, s] = reading * price
-    return bills.sum(axis=1)
+    return row_sums(bills)
+
+
+def row_sums(matrix):
+    """Python ``sum`` of each row: the slots of a meter added in order."""
+    return np.array([sum(row) for row in np.asarray(matrix).tolist()])
 
 
 def report_rows(result):

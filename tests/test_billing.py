@@ -15,7 +15,13 @@ from drdp import (
     baseline_flat_peak_bill,
     run_scenario,
 )
-from helpers import matrix_scenario, reference_flat_bill, reference_run, synth_scenario
+from helpers import (
+    matrix_scenario,
+    reference_flat_bill,
+    reference_run,
+    row_sums,
+    synth_scenario,
+)
 
 # Hand-checked 2-meter, 2-slot case: the second slot stays under the
 # threshold, the first crosses it with one home above the fair share.
@@ -96,8 +102,9 @@ class TestDetectPeak:
                 grid_params=PrivacyParams(1.0),
                 seed=0,
             )
-        with pytest.raises(ValueError, match="at least one meter"):
-            baseline_flat_peak_bill(np.empty((0, 3)), Tariff())
+        for empty in (np.empty((0, 3)), np.empty((3, 0))):
+            with pytest.raises(ValueError, match="at least one meter and slot"):
+                baseline_flat_peak_bill(empty, Tariff())
 
     def test_regional_sum_adds_meters_in_order(self):
         # The peak test matches a running Python sum bit for bit, also for
@@ -185,9 +192,7 @@ class TestRunScenario:
         result = run_scenario(scenario)
         assert result.protected.shape == (4, 144)
         assert result.adjusted.shape == (4, 144)
-        np.testing.assert_array_equal(
-            result.totals_cents, result.bills_cents.sum(axis=1)
-        )
+        assert result.totals_cents.tobytes() == row_sums(result.bills_cents).tobytes()
         assert np.all(result.protected >= scenario.readings)
         assert np.all(result.adjusted <= result.protected)
         assert np.all(result.adjusted >= 0.0)
@@ -331,7 +336,7 @@ class TestKernelMatchesReference:
         below_share = result.adjusted < result.share
         assert not np.any(result.charged & below_share)
         assert not np.any(result.charged & ~result.peak)
-        np.testing.assert_array_equal(result.totals_cents, result.bills_cents.sum(axis=1))
+        assert result.totals_cents.tobytes() == row_sums(result.bills_cents).tobytes()
 
     def test_noisy_slot_exactly_at_threshold_is_a_peak(self):
         scenario = synth_scenario(n_meters=7, n_days=1, seed=12)
@@ -360,3 +365,81 @@ class TestFlatPeakMatchesReference:
         for tariff in tariffs:
             flat = baseline_flat_peak_bill(readings, tariff)
             assert flat.tobytes() == reference_flat_bill(readings, tariff).tobytes()
+
+
+@st.composite
+def split_cases(draw):
+    """Noise-free scenarios long enough for pairwise summation to differ
+    from a running sum, and a slot ``k`` to split them at."""
+    n_meters = draw(st.integers(1, 20))
+    n_slots = draw(st.integers(2, 80))
+    share = draw(st.sampled_from(SHARES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    readings = rng.uniform(0.0, 2.0 * share, size=(n_meters, n_slots))
+    split = draw(st.integers(1, n_slots - 1))
+    return matrix_scenario(readings, peak_factor=share * n_meters), split
+
+
+class TestOneSummationOrder:
+    """Every total adds its terms in index order, so a run billed in slot
+    blocks continues to the whole run's totals bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_cases())
+    @example((matrix_scenario(np.random.default_rng(1).uniform(0, 2000, (50, 432))), 144))
+    def test_split_run_continues_to_whole_run_totals(self, case):
+        scenario, split = case
+        whole = run_scenario(scenario, noisy=False)
+        tariff = scenario.tariff
+        head, tail = (
+            run_scenario(matrix_scenario(part, peak_factor=tariff.peak_factor), noisy=False)
+            for part in (scenario.readings[:, :split], scenario.readings[:, split:])
+        )
+        totals = head.totals_cents
+        for column in tail.bills_cents.T:
+            totals = totals + column
+        adjusted_wh = head.total_adjusted_wh
+        for regional in tail.regional_wh.tolist():
+            adjusted_wh += regional
+        assert totals.tobytes() == whole.totals_cents.tobytes()
+        assert adjusted_wh == whole.total_adjusted_wh
+        assert sum(totals.tolist()) == whole.total_bill_cents
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 300), (300, 1), (13, 37), (200, 19)])
+    def test_totals_do_not_depend_on_memory_layout(self, shape):
+        readings = np.random.default_rng(5).uniform(0.0, 2000.0, size=shape)
+        tariff = Tariff(peak_factor=1000.0 * shape[0])
+        layouts = (
+            np.ascontiguousarray(readings),
+            np.asfortranarray(readings),
+            np.repeat(readings, 2, axis=1)[:, ::2],  # strided view
+        )
+        flat = [baseline_flat_peak_bill(copy, tariff).tobytes() for copy in layouts]
+        assert flat == [reference_flat_bill(readings, tariff).tobytes()] * len(layouts)
+        runs = [
+            run_scenario(matrix_scenario(copy, peak_factor=tariff.peak_factor), noisy=False)
+            for copy in layouts
+        ]
+        for run in runs:
+            assert run.totals_cents.tobytes() == row_sums(run.bills_cents).tobytes()
+            assert run.totals_cents.tobytes() == runs[0].totals_cents.tobytes()
+            assert run.regional_wh.tobytes() == runs[0].regional_wh.tobytes()
+            assert run.total_adjusted_wh == runs[0].total_adjusted_wh
+            assert run.total_bill_cents == sum(run.totals_cents.tolist())
+
+    def test_noisy_totals_add_in_order_over_the_transposed_draws(self):
+        result = run_scenario(synth_scenario(n_meters=30, n_days=1, seed=9))
+        assert not result.adjusted.flags.c_contiguous  # the slot-major draws, transposed
+        assert result.totals_cents.tobytes() == row_sums(result.bills_cents).tobytes()
+        python_regional = [sum(column) for column in result.adjusted.T.tolist()]
+        assert result.regional_wh.tolist() == python_regional
+        assert result.total_adjusted_wh == sum(python_regional)
+
+    def test_stored_sums_own_their_memory(self):
+        # A view of the running-sum temporary would keep a whole
+        # meter-by-slot buffer alive for as long as the result lives.
+        result = run_scenario(synth_scenario(n_meters=5, n_days=1, seed=1))
+        assert result.regional_wh.base is None
+        assert result.totals_cents.base is None
+        flat = baseline_flat_peak_bill(result.scenario.readings, result.scenario.tariff)
+        assert flat.base is None

@@ -93,6 +93,8 @@ class TestParseConfig:
             ["--input", "a.csv", "--synth-days", "2"],
             ["--input", "a.csv", "--meters", "5"],
             ["--input", "a.csv", "--mode", "coop-table"],
+            ["--mode", "convergence", "--epsilon2", "0.01"],
+            ["--mode", "convergence", "--epsilon1", "0.2", "--epsilon2", "0.5"],
         ],
     )
     def test_invalid_settings_raise_config_error(self, argv):
@@ -306,6 +308,22 @@ class TestSweepModes:
         rows = read_csv(out / "convergence.csv")
         assert rows[0] == ["slots", "relative_error"]
         assert len(rows) == 1 + 144
+
+    def test_convergence_accepts_epsilon2_equal_to_epsilon1(self, tmp_path, capsys):
+        argv = ["--mode", "convergence", "--meters", "2", "--synth-days", "1",
+                "--epsilon1", "0.2", "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(argv + ["--epsilon2", "0.2", "--out", str(tmp_path / "equal")]) == 0
+        for name in ("convergence.csv", "metrics.json"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "equal" / name).read_bytes()
+
+    def test_convergence_rejects_other_epsilon2_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=convergence\nepsilon2=0.01\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--meters", "2", "--out", str(out)]) == 1
+        assert "--epsilon2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCoopTableMode:

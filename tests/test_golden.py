@@ -45,7 +45,7 @@ DIGESTS = {
     },
     ('default', 'bill-error'): {
         'bill_error.csv': '8eea107b69df8317149ab66aff523179249ed14de662685882398236c07abb42',
-        'metrics.json': '5a0fbe61159f57e9707c17cf4e6401309ec4b86696e8157c3bb2a62045762b35',
+        'metrics.json': '33f2ce5d4803df72d868be0ed74c97f12257369d485e1840f62fa57788d97d79',
     },
     ('default', 'convergence'): {
         'convergence.csv': '470278dcc2b0c971e4acb55b58e970a7eb6afd8c5c43c1b4922bb832f12a0102',
@@ -66,8 +66,8 @@ DIGESTS = {
         'metrics.json': '36ab28868614cf04b8bd04fcebc192b8879a3290dee7291bf5bb5cf4a658182c',
     },
     ('input', 'bill-error'): {
-        'bill_error.csv': '249d5794c534593b3fc557be6499b5847c1e50d141692dbc1152ca78d774e3a3',
-        'metrics.json': '1dff235ccc9a0942870e6a95ef679fc2dfbb91de7b0783bb57841c92cd5eab15',
+        'bill_error.csv': '37484aa514007205df4e157ca0e617f6108643043c23010ced45ffa05501be2a',
+        'metrics.json': '403371bf98f816ed41d2e05a26497b3096b1dce94dfa2008e8823d8eccb98c5c',
     },
     ('input', 'convergence'): {
         'convergence.csv': '87df699fe7b226fb5112f3d54e1f6a6899103e5b4bc8dc17a14aff4928bac694',
@@ -86,7 +86,7 @@ DIGESTS = {
     },
     ('small', 'bill-error'): {
         'bill_error.csv': '826cbb3794e612ad5f7ce20c4dfff98284fce6fb37e681bb110569236053a7e7',
-        'metrics.json': '0f9493edabc4a50249cef15a41f82c445156179ab983464c4cda4f1301d95b21',
+        'metrics.json': 'eeda69da7cf5ff5a1928d1373e9af6d494e97f4cebe33af33355388cd6b75caa',
     },
     ('small', 'convergence'): {
         'convergence.csv': 'c23ce76afaf73cbe65954964f7ed911e2a927149347719dc0d8068311350c8dd',
