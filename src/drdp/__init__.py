@@ -45,7 +45,6 @@ from .noise import (
     derive_seed,
     protect_reading,
     sample_laplace,
-    spawn_streams,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "sample_laplace",
     "protect_reading",
     "adjust_reading",
-    "spawn_streams",
     "derive_seed",
     "LoadProfile",
     "Scenario",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metering import Scenario, report_readings
-from .noise import adjust_reading, spawn_streams
+from .noise import GRID_KEY, adjust_reading, keyed_stream
 
 __all__ = [
     "Tariff",
@@ -178,8 +178,8 @@ def run_scenario(
     ``OpCounter`` to tally per-meter sub-operations.
     """
     if noisy:
-        _, grid_rng, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
-        protected = report_readings(scenario, meter_rngs)
+        protected = report_readings(scenario)
+        grid_rng = keyed_stream(scenario.seed, GRID_KEY)
         # The grid stream is drawn slot by slot, meters within a slot.
         adjusted = adjust_reading(protected.T, scenario.grid_params, grid_rng).T
     else:

@@ -29,7 +29,7 @@ from .metrics import (
     convergence_series,
     mae_sweep,
 )
-from .noise import PrivacyParams, spawn_streams
+from .noise import SYNTHESIS_KEY, PrivacyParams, keyed_stream
 
 __all__ = ["MODES", "RunConfig", "ConfigError", "parse_config", "execute", "main"]
 
@@ -115,7 +115,11 @@ def _build_parser() -> _Parser:
         help="number of homes (default 10)",
     )
     parser.add_argument("--epsilon1", type=float, help="meter-side privacy budget")
-    parser.add_argument("--epsilon2", type=float, help="grid-side privacy budget")
+    parser.add_argument(
+        "--epsilon2", type=float,
+        help="grid-side noise budget: sets the scale of the noise the grid "
+        "subtracts, not a privacy guarantee",
+    )
     parser.add_argument("--delta-f1", dest="delta_f1", type=float, help="meter-side sensitivity in Wh")
     parser.add_argument("--delta-f2", dest="delta_f2", type=float, help="grid-side sensitivity in Wh")
     parser.add_argument("--mu", type=float, help="noise location (default 0)")
@@ -124,7 +128,11 @@ def _build_parser() -> _Parser:
     parser.add_argument("--peak-price", dest="peak_price", type=float, help="peak price in cents per Wh")
     parser.add_argument("--seed", type=int, help="master RNG seed")
     parser.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
-    parser.add_argument("--mode", choices=MODES, help="what to run (default: run)")
+    parser.add_argument(
+        "--mode", choices=MODES,
+        help="what to run (default: run); mae-sweep and bill-error set both "
+        "budgets to each swept value",
+    )
     return parser
 
 
@@ -197,15 +205,6 @@ def _validate(config: RunConfig, explicitly_set: set) -> None:
             "coop-table tabulates the closed form for --meters homes; "
             "it reads no --input file"
         )
-    if (
-        config.mode == "convergence"
-        and "epsilon2" in explicitly_set
-        and config.epsilon2 != config.epsilon1
-    ):
-        raise ConfigError(
-            "convergence runs the meter and the grid side at --epsilon1; "
-            f"--epsilon2 {config.epsilon2:g} differs from it"
-        )
 
 
 def _build_scenario(config: RunConfig, *, cooperative_home: bool = False) -> Scenario:
@@ -219,7 +218,7 @@ def _build_scenario(config: RunConfig, *, cooperative_home: bool = False) -> Sce
         if cooperative_home:
             scale = (COOPERATIVE_HOME_SCALE,) + (1.0,) * (config.n_meters - 1)
             profile = dataclasses.replace(profile, amplitude_scale=scale)
-        synthesis_rng, _, _ = spawn_streams(config.seed, config.n_meters)
+        synthesis_rng = keyed_stream(config.seed, SYNTHESIS_KEY)
         readings = synthesize(config.n_meters, config.n_days, profile, synthesis_rng)
         meter_ids = ()
     return Scenario(

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .noise import PrivacyParams, protect_reading
+from .noise import FIRST_METER_KEY, PrivacyParams, keyed_stream, protect_reading
 
 if TYPE_CHECKING:
     from .billing import Tariff
@@ -207,23 +207,15 @@ def synthesize(
     return np.clip(readings, 0.0, None)
 
 
-def report_readings(
-    scenario: Scenario,
-    meter_rngs: list[np.random.Generator],
-) -> np.ndarray:
+def report_readings(scenario: Scenario) -> np.ndarray:
     """Have every meter report protected values for all of its slots.
 
     Each meter perturbs its own row with its own stream, slot by slot;
     nothing is shared between meters. Returns a ``(n_meters, n_slots)``
     array in ``scenario.meter_ids`` order.
     """
-    if len(meter_rngs) != scenario.n_meters:
-        raise ValueError(
-            f"{len(meter_rngs)} meter streams for {scenario.n_meters} meters"
-        )
-    return np.array(
-        [
-            protect_reading(row, scenario.meter_params, rng)
-            for row, rng in zip(scenario.readings, meter_rngs)
-        ]
-    )
+    reports = np.empty_like(scenario.readings)
+    for m, row in enumerate(scenario.readings):
+        rng = keyed_stream(scenario.seed, FIRST_METER_KEY + m)
+        reports[m] = protect_reading(row, scenario.meter_params, rng)
+    return reports

@@ -12,7 +12,7 @@ import numpy as np
 
 from .billing import run_scenario
 from .metering import Scenario, report_readings
-from .noise import derive_seed, spawn_streams
+from .noise import derive_seed
 
 __all__ = [
     "DEFAULT_EPSILON_SWEEP",
@@ -62,14 +62,14 @@ def mae(protected: np.ndarray, original: np.ndarray) -> float:
     return float(np.mean(np.abs(protected - original)))
 
 
-def _with_epsilon(scenario: Scenario, epsilon: float, run_key: int | None) -> Scenario:
-    """Same scenario under a different budget, optionally on a derived seed."""
-    seed = scenario.seed if run_key is None else derive_seed(scenario.seed, run_key)
+def _with_epsilon(scenario: Scenario, epsilon: float, run_key: int) -> Scenario:
+    """One sweep point: the scenario with both budgets set to ``epsilon``,
+    on the seed derived for ``run_key``."""
     return replace(
         scenario,
         meter_params=replace(scenario.meter_params, epsilon=epsilon),
         grid_params=replace(scenario.grid_params, epsilon=epsilon),
-        seed=seed,
+        seed=derive_seed(scenario.seed, run_key),
     )
 
 
@@ -93,8 +93,7 @@ def mae_sweep(scenario: Scenario, epsilons=DEFAULT_EPSILON_SWEEP) -> MetricSerie
     points = []
     for run_key, epsilon in enumerate(values):
         run = _with_epsilon(scenario, epsilon, run_key)
-        _, _, meter_rngs = spawn_streams(run.seed, run.n_meters)
-        points.append((epsilon, mae(report_readings(run, meter_rngs), run.readings)))
+        points.append((epsilon, mae(report_readings(run), run.readings)))
     return MetricSeries("mae_vs_epsilon", tuple(points), x_unit="epsilon", y_unit="Wh")
 
 
@@ -127,13 +126,14 @@ def convergence_series(
 ) -> MetricSeries:
     """Running relative error of one home's accumulated bill, slot by slot.
 
-    Point x = k is the relative gap between the noisy and zero-noise bills
-    accumulated over the first k slots; slots where the reference bill is
-    still zero contribute a zero error.
+    The meter side reports at ``epsilon``; the grid side keeps the
+    scenario's own parameters. Point x = k is the relative gap between the
+    noisy and zero-noise bills accumulated over the first k slots; slots
+    where the reference bill is still zero contribute a zero error.
     """
     if not 0 <= meter < scenario.n_meters:
         raise ValueError(f"meter index {meter} outside 0..{scenario.n_meters - 1}")
-    run = _with_epsilon(scenario, epsilon, None)
+    run = replace(scenario, meter_params=replace(scenario.meter_params, epsilon=epsilon))
     observed = run_scenario(run, noisy=noisy)
     reference = run_scenario(scenario, noisy=False)
     cum_observed = np.cumsum(observed.bills_cents[meter])

@@ -2,8 +2,8 @@
 
 Everything the meter and the grid utility share: budget-derived noise scale,
 seeded sampling, the meter-side magnitude addition, the grid-side magnitude
-subtraction, and helpers for carving independent RNG streams out of a single
-master seed.
+subtraction, and the seed layout: which key of a master seed feeds which
+stream.
 """
 from __future__ import annotations
 
@@ -19,9 +19,14 @@ __all__ = [
     "sample_laplace",
     "protect_reading",
     "adjust_reading",
-    "spawn_streams",
     "derive_seed",
 ]
+
+# The seed layout: each stream of a scenario is built from the master seed
+# and its own key, so a stage builds only the streams it draws from.
+SYNTHESIS_KEY = 0
+GRID_KEY = 1
+FIRST_METER_KEY = 2  # meter m draws from key FIRST_METER_KEY + m
 
 
 def compute_scale(delta_f: float, epsilon: float) -> float:
@@ -112,22 +117,15 @@ def adjust_reading(
     return np.maximum(p_v - np.abs(rng.laplace(params.mu, params.scale, np.shape(p_v))), 0.0)
 
 
-def spawn_streams(
-    seed: int, n_meters: int
-) -> tuple[np.random.Generator, np.random.Generator, list[np.random.Generator]]:
-    """Split one master seed into all the streams a scenario needs.
+# Kept out of ``__all__``: callers build one per meter, and perfbench's
+# tracer wraps every ``__all__`` function in a span.
+def keyed_stream(seed: int, key: int) -> np.random.Generator:
+    """The stream with ``key`` under master ``seed``.
 
-    Returns ``(synthesis, grid, meters)`` where ``meters[i]`` belongs to the
-    i-th meter. The assignment is a pure function of ``(seed, n_meters)``,
-    so no stream depends on the order in which the others are consumed.
+    It draws exactly what child ``key`` of ``SeedSequence(seed).spawn(n)``
+    draws for any ``n > key``, and does not depend on any other stream.
     """
-    if n_meters < 1:
-        raise ValueError(f"n_meters must be at least 1, got {n_meters}")
-    children = np.random.SeedSequence(seed).spawn(n_meters + 2)
-    synthesis = np.random.default_rng(children[0])
-    grid = np.random.default_rng(children[1])
-    meters = [np.random.default_rng(child) for child in children[2:]]
-    return synthesis, grid, meters
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
 def derive_seed(seed: int, *keys: int) -> int:

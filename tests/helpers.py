@@ -10,10 +10,21 @@ from drdp import (
     Scenario,
     Tariff,
     sample_laplace,
-    spawn_streams,
     synthesize,
 )
 from drdp.cli import REPORT_HEADER
+
+
+def spawn_streams(seed, n_meters):
+    """The seed layout by ``SeedSequence.spawn``: ``(synthesis, grid,
+    meters)`` from children 0, 1 and 2 .. n_meters + 1 of the master seed.
+
+    The package builds each stream from its key instead; this spells out
+    the same layout a second way, as the oracle for the reference runs.
+    """
+    children = np.random.SeedSequence(seed).spawn(n_meters + 2)
+    synthesis, grid, *meters = (np.random.default_rng(child) for child in children)
+    return synthesis, grid, meters
 
 
 def synth_scenario(

@@ -93,13 +93,21 @@ class TestParseConfig:
             ["--input", "a.csv", "--synth-days", "2"],
             ["--input", "a.csv", "--meters", "5"],
             ["--input", "a.csv", "--mode", "coop-table"],
-            ["--mode", "convergence", "--epsilon2", "0.01"],
-            ["--mode", "convergence", "--epsilon1", "0.2", "--epsilon2", "0.5"],
         ],
     )
     def test_invalid_settings_raise_config_error(self, argv):
         with pytest.raises(ConfigError):
             parse_config(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "convergence", "--epsilon2", "0.01"],
+            ["--mode", "convergence", "--epsilon1", "0.2", "--epsilon2", "0.5"],
+        ],
+    )
+    def test_convergence_takes_epsilon2_as_run_does(self, argv):
+        assert parse_config(argv).epsilon2 == float(argv[-1])
 
     # one value per RunConfig field, none of them the default
     NON_DEFAULT = {
@@ -236,7 +244,7 @@ class TestRunMode:
     @pytest.mark.parametrize(
         "mode,stage",
         [
-            ("run", "spawn_streams"),
+            ("run", "synthesize"),
             ("run", "run_scenario"),
             ("mae-sweep", "mae_sweep"),
             ("coop-table", "coop_probability"),
@@ -312,18 +320,27 @@ class TestSweepModes:
     def test_convergence_accepts_epsilon2_equal_to_epsilon1(self, tmp_path, capsys):
         argv = ["--mode", "convergence", "--meters", "2", "--synth-days", "1",
                 "--epsilon1", "0.2", "--seed", "3"]
-        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
         assert main(argv + ["--epsilon2", "0.2", "--out", str(tmp_path / "equal")]) == 0
+        # With no --epsilon2 the grid side runs at the default budget.
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(argv + ["--epsilon2", "0.5", "--out", str(tmp_path / "default")]) == 0
         for name in ("convergence.csv", "metrics.json"):
-            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "equal" / name).read_bytes()
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
-    def test_convergence_rejects_other_epsilon2_from_config_file(self, tmp_path, capsys):
+    def test_convergence_reads_epsilon2_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode=convergence\nepsilon2=0.01\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--meters", "2", "--out", str(out)]) == 1
-        assert "--epsilon2" in capsys.readouterr().err
-        assert not out.exists()
+        base = ["--meters", "2", "--synth-days", "1", "--seed", "3"]
+        assert main(["--config", str(cfg), *base, "--out", str(tmp_path / "file")]) == 0
+        flags = ["--mode", "convergence", *base]
+        assert main(flags + ["--epsilon2", "0.01", "--out", str(tmp_path / "strict")]) == 0
+        assert main(flags + ["--epsilon2", "0.5", "--out", str(tmp_path / "loose")]) == 0
+        series = {
+            name: (tmp_path / name / "convergence.csv").read_bytes()
+            for name in ("file", "strict", "loose")
+        }
+        assert series["file"] == series["strict"]
+        assert series["strict"] != series["loose"]
 
 
 class TestCoopTableMode:

@@ -10,10 +10,9 @@ from drdp import (
     load_csv,
     protect_reading,
     report_readings,
-    spawn_streams,
     synthesize,
 )
-from helpers import matrix_scenario
+from helpers import matrix_scenario, spawn_streams
 
 
 def write_readings(path, rows, header="meter_id,slot,wh"):
@@ -209,26 +208,19 @@ class TestReportSlot:
     """Meter-side reporting of every slot: ``report_readings``."""
 
     def test_reports_cover_all_meters_in_order(self):
-        scenario = matrix_scenario([[5.0, 6.0], [7.0, 8.0]])
+        scenario = matrix_scenario([[5.0, 6.0], [7.0, 8.0], [9.0, 1.0]])
+        reports = report_readings(scenario)
+        assert reports.shape == (3, 2)
+        # row i is meter i's readings perturbed by meter i's own stream,
+        # one scalar draw per slot
         _, _, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
-        reports = report_readings(scenario, meter_rngs)
-        assert reports.shape == (2, 2)
-        # row i is meter i's readings perturbed by meter i's own stream
-        _, _, fresh = spawn_streams(scenario.seed, scenario.n_meters)
-        for index in range(2):
+        for index in range(3):
             expected = [
-                protect_reading(float(i_v), scenario.meter_params, fresh[index])
+                protect_reading(float(i_v), scenario.meter_params, meter_rngs[index])
                 for i_v in scenario.readings[index]
             ]
             assert reports[index].tolist() == expected
 
     def test_reported_value_at_least_true_value(self):
         scenario = matrix_scenario(np.full((5, 4), 100.0), epsilon=0.1)
-        _, _, meter_rngs = spawn_streams(scenario.seed, scenario.n_meters)
-        assert np.all(report_readings(scenario, meter_rngs) >= 100.0)
-
-    def test_stream_count_checked(self):
-        scenario = matrix_scenario(np.ones((2, 2)))
-        _, _, meter_rngs = spawn_streams(scenario.seed, 3)
-        with pytest.raises(ValueError, match="streams"):
-            report_readings(scenario, meter_rngs)
+        assert np.all(report_readings(scenario) >= 100.0)

@@ -109,6 +109,16 @@ class TestConvergenceSeries:
         assert series.ys[-1] < 0.02
         assert series.ys[-1] <= max(series.ys[:30])
 
+    def test_grid_side_keeps_the_scenarios_budget(self):
+        strict, loose = (
+            convergence_series(synth_scenario(n_meters=3, n_days=1, seed=29, epsilon2=e2), 0.5)
+            for e2 in (0.01, 0.5)
+        )
+        assert strict.ys != loose.ys
+        # The meter side follows the epsilon argument, not the scenario's.
+        meter_only = synth_scenario(n_meters=3, n_days=1, seed=29, epsilon=0.1, epsilon2=0.5)
+        assert convergence_series(meter_only, 0.5) == loose
+
     def test_meter_index_validated(self):
         scenario = synth_scenario(n_meters=2, n_days=1)
         with pytest.raises(ValueError, match="meter index"):

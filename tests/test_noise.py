@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from drdp import (
@@ -14,8 +16,9 @@ from drdp import (
     derive_seed,
     protect_reading,
     sample_laplace,
-    spawn_streams,
 )
+from drdp.noise import FIRST_METER_KEY, GRID_KEY, SYNTHESIS_KEY, keyed_stream
+from helpers import spawn_streams
 
 
 @pytest.mark.parametrize(
@@ -235,17 +238,32 @@ def test_spawn_streams_deterministic_and_distinct():
     synth_a, grid_a, meters_a = spawn_streams(99, 4)
     synth_b, grid_b, meters_b = spawn_streams(99, 4)
     assert len(meters_a) == 4
-    assert synth_a.uniform() == synth_b.uniform()
-    assert grid_a.uniform() == grid_b.uniform()
-    first_a = [m.uniform() for m in meters_a]
-    first_b = [m.uniform() for m in meters_b]
+    first_a = [stream.uniform() for stream in [synth_a, grid_a, *meters_a]]
+    first_b = [stream.uniform() for stream in [synth_b, grid_b, *meters_b]]
     assert first_a == first_b
-    assert len(set(first_a)) == 4  # streams do not collide
+    assert len(set(first_a)) == 6  # streams do not collide
+    # The package builds each of these streams from its own key.
+    keys = [SYNTHESIS_KEY, GRID_KEY] + [FIRST_METER_KEY + m for m in range(4)]
+    assert [keyed_stream(99, key).uniform() for key in keys] == first_a
 
 
-def test_spawn_streams_rejects_zero_meters():
-    with pytest.raises(ValueError):
-        spawn_streams(1, 0)
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.builds(derive_seed, st.integers(0, 2**32), st.integers(0, 64)),
+    ),
+    key=st.integers(0, 64),
+    extra=st.integers(1, 8),
+)
+@example(seed=2**63 + 5, key=FIRST_METER_KEY + 15, extra=1)
+@example(seed=derive_seed(42, 3), key=GRID_KEY, extra=1)
+def test_keyed_stream_draws_what_spawn_draws(seed, key, extra):
+    """Key k under a seed is child k of that seed's ``SeedSequence.spawn``."""
+    spawned = np.random.default_rng(np.random.SeedSequence(seed).spawn(key + extra)[key])
+    keyed = keyed_stream(seed, key)
+    assert keyed.bit_generator.state == spawned.bit_generator.state
+    assert keyed.laplace(0.0, 2.0, 16).tolist() == spawned.laplace(0.0, 2.0, 16).tolist()
 
 
 def test_derive_seed_stable_and_key_sensitive():
